@@ -17,8 +17,11 @@
 //!
 //! Sharing one *plan* seed across a trial's multipliers is also what makes
 //! the [`PlanCache`] effective: the growing batches of a trial reuse the
-//! same BFS trees, so the cache serves every tree after the smallest batch
-//! has populated it.
+//! same BFS trees. The default cache budget holds every tree of a default
+//! estimate on mesh2(64), so at `jobs = 1` each (trial, source) tree is
+//! computed exactly once. Concurrent cells of one trial walk their sources
+//! in different orders, so parallel workers fill the cache for each other
+//! and only rarely compute the same tree at the same moment.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -370,6 +373,41 @@ mod tests {
         assert_eq!(events.rate, tick.rate);
         assert_eq!(events.samples, tick.samples);
         assert_eq!(events.complete_trials, tick.complete_trials);
+    }
+
+    #[test]
+    fn default_grid_computes_each_trial_source_tree_once() {
+        // The cells of a trial share one plan seed, so with every tree kept
+        // the estimate computes one BFS tree per distinct (trial, source)
+        // pair — the sources of the cell demands `route_traffic_ctx` draws.
+        let m = Machine::mesh(2, 32);
+        let t = m.symmetric_traffic();
+        let est = BandwidthEstimator::default();
+        let m_len = est.multipliers.len();
+        let mut pairs = 0;
+        for trial in 0..est.trials {
+            let mut sources = std::collections::BTreeSet::new();
+            for (mi, &mult) in est.multipliers.iter().enumerate() {
+                let cell = (trial * m_len + mi) as u64;
+                let mut rng = {
+                    use rand::SeedableRng;
+                    rand::rngs::StdRng::seed_from_u64(job_seed(est.seed, cell))
+                };
+                sources.extend((0..mult * t.n()).map(|_| t.sample(&mut rng).0));
+            }
+            pairs += sources.len();
+        }
+        let cache = PlanCache::default();
+        let seq = est.estimate_with_cache(&m, &t, &cache);
+        assert_eq!(cache.misses(), pairs as u64);
+        assert_eq!((cache.entries(), cache.refused()), (pairs, 0));
+        // One byte per node: a mesh's trees take the compact slot arm.
+        assert_eq!(cache.bytes(), pairs * m.graph().node_count());
+        // Two workers filling one cache for each other change no bit.
+        let par = est.with_jobs(2).estimate(&m, &t);
+        assert_eq!(par.rate.to_bits(), seq.rate.to_bits());
+        assert_eq!(par.mean_rate.to_bits(), seq.mean_rate.to_bits());
+        assert_eq!(par.samples, seq.samples);
     }
 
     #[test]

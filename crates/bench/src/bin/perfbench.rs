@@ -34,7 +34,8 @@ struct Row {
     schema: String,
     /// Benchmark id (`route_reference`, `route_compiled`,
     /// `route_sharded_k{K}`, `route_events_{saturated,sparse,drain}`,
-    /// `estimator_grid`, `planner`, `telemetry_overhead`).
+    /// `estimator_grid`, `estimator_grid_j2`, `planner`,
+    /// `telemetry_overhead`).
     bench: String,
     /// Machine the benchmark ran on.
     machine: String,
@@ -356,6 +357,24 @@ fn main() {
         &machine,
         est_ms,
         est_rate,
+        "packets/tick",
+    ));
+
+    // The same grid on two workers sharing one plan cache: concurrent
+    // cells of a trial fill the cache for each other.
+    let est_j2 = est.clone().with_jobs(2);
+    let (j2_ms, j2_rate) = timed(reps.min(3), || est_j2.estimate(&machine, &traffic).rate);
+    assert_eq!(j2_rate, est_rate, "--jobs must not change a single bit");
+    println!(
+        "estimator_grid_j2: {:>8} ms   β̂   {}",
+        fmt(j2_ms),
+        fmt(j2_rate)
+    );
+    rows.push(Row::new(
+        "estimator_grid_j2",
+        &machine,
+        j2_ms,
+        j2_rate,
         "packets/tick",
     ));
 

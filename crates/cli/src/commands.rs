@@ -318,11 +318,13 @@ pub(crate) fn beta_with(
         if verbose {
             let _ = writeln!(
                 out,
-                "plan cache    : {} hits / {} misses ({:.1}% hit rate, {} trees)",
+                "plan cache    : {} hits / {} misses ({:.1}% hit rate, {} trees in {:.1} MiB, {} refused)",
                 cache.hits(),
                 cache.misses(),
                 100.0 * cache.hit_rate(),
-                cache.entries()
+                cache.entries(),
+                cache.bytes() as f64 / (1 << 20) as f64,
+                cache.refused()
             );
             let _ = writeln!(
                 out,
@@ -1018,6 +1020,7 @@ mod tests {
             .contains_key("span_bandwidth_estimate_calls_total"));
         assert!(snap.histograms.contains_key("router_queue_occupancy"));
         assert!(snap.gauges.contains_key("plan_cache_entries"));
+        assert!(snap.gauges.contains_key("plan_cache_bytes"));
         // Router accounting is self-consistent.
         assert!(snap.counters["router_delivered_total"] <= snap.counters["router_packets_total"]);
         let occ = &snap.histograms["router_queue_occupancy"];

@@ -215,6 +215,17 @@ impl Multigraph {
             .zip(self.mults[lo..hi].iter().copied())
     }
 
+    /// The `k`-th distinct neighbor of `u` in CSR order — the position
+    /// [`Multigraph::neighbors`] yields it at. A direct index, so compact
+    /// route trees can store a parent as a small slot number.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) when `k >= distinct_degree(u)`.
+    pub fn neighbor_at(&self, u: NodeId, k: usize) -> NodeId {
+        debug_assert!(k < self.distinct_degree(u), "slot {k} out of range at {u}");
+        self.neighbors[self.offsets[u as usize] + k]
+    }
+
     /// Distinct-neighbor degree of `u` (multiplicities ignored; self-loop
     /// counts once).
     pub fn distinct_degree(&self, u: NodeId) -> usize {

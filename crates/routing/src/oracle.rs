@@ -35,12 +35,12 @@
 use std::sync::Arc;
 
 use fcn_exec::job_seed;
-use fcn_multigraph::{path_from_parents, Multigraph, NodeId};
+use fcn_multigraph::{Multigraph, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt, SeedableRng};
 
-use crate::cache::PlanCache;
+use crate::cache::{PlanCache, RouteTree};
 use crate::packet::{PacketPath, Strategy};
 
 /// Domain separator so BFS seeds never collide with other uses of the
@@ -57,10 +57,12 @@ pub struct PathOracle<'g> {
     /// BFS only visits nodes with id below this limit (used by machines
     /// whose good routing scheme avoids auxiliary/apex structure).
     node_limit: usize,
-    /// Optional memo store; `graph_fp` is the graph's fingerprint, computed
-    /// once when the cache is attached.
+    /// Optional memo store; `graph_fp` is the graph's fingerprint and
+    /// `slots_fit` says whether its trees fit [`RouteTree::Slots`], both
+    /// computed once when the cache is attached.
     cache: Option<&'g PlanCache>,
     graph_fp: u64,
+    slots_fit: bool,
 }
 
 impl<'g> PathOracle<'g> {
@@ -73,6 +75,7 @@ impl<'g> PathOracle<'g> {
             node_limit: usize::MAX,
             cache: None,
             graph_fp: 0,
+            slots_fit: false,
         }
     }
 
@@ -88,6 +91,7 @@ impl<'g> PathOracle<'g> {
     /// inserted into) it. Cached routes are bit-identical to fresh ones.
     pub fn with_cache(mut self, cache: &'g PlanCache) -> Self {
         self.graph_fp = self.graph.fingerprint();
+        self.slots_fit = RouteTree::slots_fit(self.graph);
         self.cache = Some(cache);
         self
     }
@@ -167,43 +171,53 @@ impl<'g> PathOracle<'g> {
     /// trees dropped eagerly (unless cached). Returns raw vertex sequences
     /// in input order; `None` marks demands with no path (disconnected or
     /// degraded hosts).
-    fn legs_grouped(&mut self, demands: &[(NodeId, NodeId)]) -> Vec<Option<Vec<NodeId>>> {
+    ///
+    /// Source groups are visited in the order of `job_seed(demands.len(),
+    /// source)`, so concurrent batches of different sizes on one plan seed
+    /// (a trial's cells) walk the sources in different orders and fill a
+    /// shared [`PlanCache`] for each other instead of missing on the same
+    /// tree at the same time. Every tree and path is a pure function of its
+    /// key and is written by demand index, so the order changes no output.
+    fn legs_grouped(&self, demands: &[(NodeId, NodeId)]) -> Vec<Option<Vec<NodeId>>> {
+        let batch = demands.len() as u64;
         let mut order: Vec<usize> = (0..demands.len()).collect();
-        order.sort_by_key(|&i| demands[i].0);
+        order.sort_by_cached_key(|&i| job_seed(batch, demands[i].0 as u64));
         let mut out: Vec<Option<Vec<NodeId>>> = vec![None; demands.len()];
-        let mut current_src: Option<NodeId> = None;
-        let mut parent: Arc<Vec<NodeId>> = Arc::new(Vec::new());
-        for &i in &order {
-            let (s, d) = demands[i];
-            if current_src != Some(s) {
-                parent = self.parents_for(s);
-                current_src = Some(s);
-            }
-            if s == d {
-                out[i] = Some(vec![s]);
-            } else {
-                out[i] = path_from_parents(&parent, s, d);
+        for group in order.chunk_by(|&a, &b| demands[a].0 == demands[b].0) {
+            let s = demands[group[0]].0;
+            let tree = self.tree_for(s);
+            for &i in group {
+                out[i] = tree.path(self.graph, s, demands[i].1);
             }
         }
         out
     }
 
-    /// The (possibly memoized) BFS parent tree for `src`.
-    fn parents_for(&self, src: NodeId) -> Arc<Vec<NodeId>> {
+    /// The (possibly memoized) BFS tree rooted at `src`: compact slots when
+    /// it is cached on a graph they fit, plain parents otherwise.
+    fn tree_for(&self, src: NodeId) -> Arc<RouteTree> {
         let bfs_seed = job_seed(self.plan_seed ^ BFS_STREAM, src as u64);
         match self.cache {
             Some(cache) => {
                 cache.get_or_compute(self.graph_fp, self.node_limit, src, bfs_seed, || {
-                    self.bfs_parents_randomized(src, bfs_seed)
+                    let parents = self.bfs_parents_randomized(src, bfs_seed);
+                    if self.slots_fit {
+                        RouteTree::slots(self.graph, src, &parents)
+                    } else {
+                        RouteTree::Parents(parents.into())
+                    }
                 })
             }
-            None => Arc::new(self.bfs_parents_randomized(src, bfs_seed)),
+            None => Arc::new(RouteTree::Parents(
+                self.bfs_parents_randomized(src, bfs_seed).into(),
+            )),
         }
     }
 
     /// BFS parents with a random neighbor-preference permutation drawn from
     /// a fresh RNG at `bfs_seed`, honoring the node limit. A pure function
-    /// of `(graph, node_limit, src, bfs_seed)`.
+    /// of `(graph, node_limit, src, bfs_seed)`; `NodeId::MAX` marks nodes
+    /// not reached, which doubles as the visited mark.
     fn bfs_parents_randomized(&self, src: NodeId, bfs_seed: u64) -> Vec<NodeId> {
         let g = self.graph;
         let n = g.node_count();
@@ -211,23 +225,27 @@ impl<'g> PathOracle<'g> {
         assert!((src as usize) < limit, "source {src} outside node limit");
         let mut rng = StdRng::seed_from_u64(bfs_seed);
         let mut parent = vec![NodeId::MAX; n];
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
         parent[src as usize] = src;
-        dist[src as usize] = 0;
-        queue.push_back(src);
+        // Flat FIFO of `n + 1` slots: every node is enqueued at most once.
+        // The visit is branch-free, since whether a shuffled neighbor is
+        // fresh is unpredictable: each one is written at `tail`, which
+        // advances only past a fresh one.
+        let mut queue = vec![src; n + 1];
+        let (mut head, mut tail) = (0, 1);
         // A small reusable scratch buffer of neighbors, shuffled per vertex.
         let mut scratch: Vec<NodeId> = Vec::new();
-        while let Some(u) = queue.pop_front() {
+        while head < tail {
+            let u = queue[head];
+            head += 1;
             scratch.clear();
             scratch.extend(g.neighbors(u).map(|(v, _)| v));
             scratch.shuffle(&mut rng);
             for &v in &scratch {
-                if (v as usize) < limit && dist[v as usize] == u32::MAX {
-                    dist[v as usize] = dist[u as usize] + 1;
-                    parent[v as usize] = u;
-                    queue.push_back(v);
-                }
+                let p = &mut parent[v as usize];
+                let fresh = ((v as usize) < limit) & (*p == NodeId::MAX);
+                *p = if fresh { u } else { *p };
+                queue[tail] = v;
+                tail += fresh as usize;
             }
         }
         parent

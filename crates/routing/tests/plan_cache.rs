@@ -91,19 +91,21 @@ proptest! {
     }
 
     #[test]
-    fn capped_cache_still_plans_correctly(
+    fn budget_capped_cache_still_plans_correctly(
         size in 24usize..64,
+        budget in 0usize..400,
         seed in proptest::strategy::any::<u64>(),
         raw in proptest::collection::vec(
             (proptest::strategy::any::<u64>(), proptest::strategy::any::<u64>()),
             8..32,
         ),
     ) {
-        // A capacity smaller than the working set forces evictions-by-refusal;
-        // correctness must not depend on what the cache managed to keep.
+        // A byte budget smaller than the working set (a few trees of one
+        // byte per node, or none) forces refusals; correctness must not
+        // depend on what the cache managed to keep.
         let machine = Machine::mesh(2, (size as f64).sqrt() as usize + 2);
         let demands = demands_on(&machine, &raw);
-        let cache = PlanCache::with_capacity(2);
+        let cache = PlanCache::with_budget(budget);
         let cold = plan_routes_cached(
             &machine, &demands, Strategy::ShortestPath, seed, Some(&cache),
         );
@@ -113,6 +115,8 @@ proptest! {
         let fresh = plan_routes(&machine, &demands, Strategy::ShortestPath, seed);
         prop_assert_eq!(&cold, &fresh);
         prop_assert_eq!(&warm, &fresh);
+        prop_assert!(cache.bytes() <= budget);
+        prop_assert_eq!(cache.bytes(), cache.entries() * machine.graph().node_count());
     }
 }
 
@@ -131,4 +135,23 @@ fn cache_reports_hits_after_warmup() {
         cache.hits()
     );
     assert!(cache.entries() > 0);
+}
+
+#[test]
+fn wide_trees_on_a_hub_of_255_plus_neighbours_match_fresh_plans() {
+    // The bus hub touches every processor, too many for one-byte slots, so
+    // the cache stores plain four-byte parents.
+    let machine = Machine::global_bus(300);
+    let nodes = machine.graph().node_count();
+    let demands: Vec<(u32, u32)> = (0..600u32).map(|i| (i % 300, (i * 7 + 3) % 300)).collect();
+    for strategy in [Strategy::ShortestPath, Strategy::Valiant] {
+        let cache = PlanCache::default();
+        let fresh = plan_routes(&machine, &demands, strategy, 9);
+        let cold = plan_routes_cached(&machine, &demands, strategy, 9, Some(&cache));
+        let warm = plan_routes_cached(&machine, &demands, strategy, 9, Some(&cache));
+        assert_eq!(fresh, cold, "{strategy:?}");
+        assert_eq!(fresh, warm, "{strategy:?}");
+        assert!(cache.hits() > 0);
+        assert_eq!(cache.bytes(), cache.entries() * 4 * nodes, "{strategy:?}");
+    }
 }

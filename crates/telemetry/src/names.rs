@@ -36,10 +36,13 @@ pub const EXEC_WATCHDOG_FIRED_TOTAL: &str = "exec_watchdog_fired_total";
 pub const PLAN_CACHE_HITS_TOTAL: &str = "plan_cache_hits_total";
 /// BFS-tree cache misses (tree computed fresh).
 pub const PLAN_CACHE_MISSES_TOTAL: &str = "plan_cache_misses_total";
-/// Evictions under the cache's capacity bound.
-pub const PLAN_CACHE_EVICTIONS_TOTAL: &str = "plan_cache_evictions_total";
+/// Trees computed but not stored because they would overflow the cache's
+/// byte budget (the cache never evicts).
+pub const PLAN_CACHE_REFUSED_TOTAL: &str = "plan_cache_refused_total";
 /// Resident entries at publish time (gauge).
 pub const PLAN_CACHE_ENTRIES: &str = "plan_cache_entries";
+/// Bytes the resident trees occupy at publish time (gauge).
+pub const PLAN_CACHE_BYTES: &str = "plan_cache_bytes";
 
 // --- compiled router ----------------------------------------------------
 
@@ -202,8 +205,9 @@ pub const ALL: &[&str] = &[
     EXEC_WATCHDOG_FIRED_TOTAL,
     PLAN_CACHE_HITS_TOTAL,
     PLAN_CACHE_MISSES_TOTAL,
-    PLAN_CACHE_EVICTIONS_TOTAL,
+    PLAN_CACHE_REFUSED_TOTAL,
     PLAN_CACHE_ENTRIES,
+    PLAN_CACHE_BYTES,
     ROUTER_RUNS_TOTAL,
     ROUTER_TICKS_TOTAL,
     ROUTER_DELIVERED_TOTAL,

@@ -11,7 +11,7 @@
 //! is what certifies β = Θ(1) for the global bus, whose *wire* cuts are
 //! wide).
 
-use fcn_multigraph::{best_flux_bound, Cut, CutStats, Traffic};
+use fcn_multigraph::{best_flux_bound, Cut, CutStats, Multigraph, Traffic};
 use fcn_topology::Machine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,6 +40,28 @@ pub fn flux_upper_bound(
     seed: u64,
     random_seeds: usize,
     improve_sweeps: usize,
+) -> FluxBound {
+    let _span = fcn_telemetry::Span::enter(fcn_telemetry::names::SPAN_FLUX_BOUND);
+    flux_bound_with(
+        machine,
+        traffic,
+        seed,
+        random_seeds,
+        improve_sweeps,
+        sampled_avg_distance,
+    )
+}
+
+/// [`flux_upper_bound`] with the distance bound's mean-distance estimator
+/// passed in, so tests can swap in a reference implementation. The
+/// estimator gets the RNG right after the generated cuts have used it.
+fn flux_bound_with(
+    machine: &Machine,
+    traffic: &Traffic,
+    seed: u64,
+    random_seeds: usize,
+    improve_sweeps: usize,
+    avg_distance: impl FnOnce(&Multigraph, &Traffic, &mut StdRng) -> f64,
 ) -> FluxBound {
     let g = machine.graph();
     let mut best: Option<FluxBound> = None;
@@ -80,25 +102,7 @@ pub fn flux_upper_bound(
     // (weak hypercube), the per-tick slot supply is the total send capacity
     // instead of the wire count.
     {
-        let samples = 2000usize;
-        let mut d_sum = 0u64;
-        let mut d_cnt = 0u64;
-        let mut cache: std::collections::BTreeMap<fcn_multigraph::NodeId, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for _ in 0..samples {
-            let (s, t) = traffic.sample(&mut rng);
-            let dist = cache
-                .entry(s)
-                .or_insert_with(|| fcn_multigraph::bfs_distances(g, s));
-            let d = dist[t as usize];
-            debug_assert!(d != u32::MAX);
-            d_sum += d as u64;
-            d_cnt += 1;
-            if cache.len() > 256 {
-                cache.clear(); // bound memory on huge machines
-            }
-        }
-        let avg_d = (d_sum as f64 / d_cnt.max(1) as f64).max(1.0);
+        let avg_d = avg_distance(g, traffic, &mut rng);
         consider(FluxBound {
             rate_bound: 2.0 * g.simple_edge_count() as f64 / avg_d,
             cut_stats: None,
@@ -160,6 +164,19 @@ pub fn flux_upper_bound(
 
     // fcn-allow: ERR-UNWRAP the bisection-cut candidate is pushed unconditionally above, so `best` is always Some
     best.expect("at least one flux bound always exists")
+}
+
+/// Mean exact distance of 2000 pairs drawn from `traffic`, at least 1.
+///
+/// `pair_distances` groups the pairs by source, meets a lone target
+/// halfway and stops a shared source's BFS at its last target, so each
+/// search ends as soon as its distances are known.
+fn sampled_avg_distance(g: &Multigraph, traffic: &Traffic, rng: &mut StdRng) -> f64 {
+    let pairs: Vec<_> = (0..2000).map(|_| traffic.sample(rng)).collect();
+    let dists = fcn_multigraph::pair_distances(g, &pairs);
+    debug_assert!(!dists.contains(&fcn_multigraph::UNREACHABLE));
+    let d_sum: u64 = dists.iter().map(|&d| d as u64).sum();
+    (d_sum as f64 / dists.len() as f64).max(1.0)
 }
 
 /// Evaluate a full-graph cut against processor-level traffic: the crossing
@@ -234,6 +251,52 @@ mod tests {
         // Canonical cut: 2^g capacity, crossing fraction ~1/2 ⇒ bound ~2^{g+1}.
         let b = bound(&Machine::butterfly(4));
         assert!(b.rate_bound <= 4.4 * 16.0, "{}", b.rate_bound);
+    }
+
+    /// The distance average as computed before `pair_distances`: one full
+    /// BFS per sampled pair, draws interleaved with the sweeps.
+    fn full_bfs_avg_distance(g: &Multigraph, traffic: &Traffic, rng: &mut StdRng) -> f64 {
+        let mut d_sum = 0u64;
+        for _ in 0..2000 {
+            let (s, t) = traffic.sample(rng);
+            d_sum += fcn_multigraph::bfs_distances(g, s)[t as usize] as u64;
+        }
+        (d_sum as f64 / 2000.0).max(1.0)
+    }
+
+    #[test]
+    fn grouped_pair_distances_pin_the_full_bfs_flux_bound() {
+        use fcn_topology::Family::*;
+        for family in [
+            Butterfly,
+            ShuffleExchange,
+            DeBruijn,
+            Expander,
+            WeakHypercube,
+            Mesh(2),
+        ] {
+            for size in [64, 300] {
+                let m = family.build_near(size, 7);
+                let t = m.symmetric_traffic();
+                for seed in [1, 2, 0xbead] {
+                    let fast = flux_upper_bound(&m, &t, seed, 4, 2);
+                    let slow = flux_bound_with(&m, &t, seed, 4, 2, full_bfs_avg_distance);
+                    let case = format!("{} seed {seed}", m.name());
+                    assert_eq!(
+                        fast.rate_bound.to_bits(),
+                        slow.rate_bound.to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(fast.witness, slow.witness, "{case}");
+                    // The distance average itself, even where a cut wins.
+                    let mut r1 = StdRng::seed_from_u64(seed);
+                    let mut r2 = r1.clone();
+                    let a = sampled_avg_distance(m.graph(), &t, &mut r1);
+                    let b = full_bfs_avg_distance(m.graph(), &t, &mut r2);
+                    assert_eq!(a.to_bits(), b.to_bits(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! Times the hot paths that dominate every table regeneration — the tick
 //! simulator (both the retained pre-compilation reference and the
-//! compile-once/run-many pipeline), the operational estimator grid, and the
-//! route planner — and records `{bench, machine, n, median_ms, rate}` rows
-//! so speedups and regressions are visible across PRs (schema in
-//! EXPERIMENTS.md).
+//! compile-once/run-many pipeline), the operational estimator grid, the
+//! route planner and the flux bound — and records
+//! `{bench, machine, n, median_ms, rate}` rows so speedups and regressions
+//! are visible across PRs (schema in EXPERIMENTS.md).
 //!
 //! * default: saturation scale (mesh2(64), 8n packets), writes
 //!   `BENCH_router.json` at the repo root — the committed trajectory;
@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use fcn_bandwidth::BandwidthEstimator;
+use fcn_bandwidth::{flux_upper_bound, BandwidthEstimator};
 use fcn_bench::{banner, fmt, RunOpts, Scale, PERFBENCH_SCHEMA};
 use fcn_routing::engine::reference;
 use fcn_routing::{
@@ -34,7 +34,7 @@ struct Row {
     schema: String,
     /// Benchmark id (`route_reference`, `route_compiled`,
     /// `route_sharded_k{K}`, `route_events_{saturated,sparse,drain}`,
-    /// `estimator_grid`, `estimator_grid_j2`, `planner`,
+    /// `estimator_grid`, `estimator_grid_j2`, `planner`, `flux_bound`,
     /// `telemetry_overhead`).
     bench: String,
     /// Machine the benchmark ran on.
@@ -49,12 +49,13 @@ struct Row {
     /// Bench-specific throughput; `unit` names what it measures.
     rate: f64,
     /// Unit of `rate`: `packets/tick` (delivery rate — router benches and
-    /// the estimator's β̂), `node-ticks/s` (`route_sharded_k{K}` — the
-    /// scaling curve's y-axis), `packets/ms` (planner), `ratio`
-    /// (`telemetry_overhead`: disabled-telemetry over no-telemetry-baseline
-    /// time; `< 1.01` is the "<1 % off overhead" budget), or `x-vs-tick`
-    /// (`route_events_*`: tick-backend wall time over event-backend wall
-    /// time on the identical workload).
+    /// the estimator's β̂; the certified bound for `flux_bound`),
+    /// `node-ticks/s` (`route_sharded_k{K}` — the scaling curve's y-axis),
+    /// `packets/ms` (planner), `ratio` (`telemetry_overhead`:
+    /// disabled-telemetry over no-telemetry-baseline time; `< 1.01` is the
+    /// "<1 % off overhead" budget), or `x-vs-tick` (`route_events_*`:
+    /// tick-backend wall time over event-backend wall time on the
+    /// identical workload).
     unit: String,
 }
 
@@ -393,6 +394,28 @@ fn main() {
         plan_ms,
         planned / plan_ms,
         "packets/ms",
+    ));
+
+    // The certified flux bound on de Bruijn, where the distance bound is the
+    // witness: 2000 exact sampled distances plus the cut search. `rate` is
+    // the bound itself.
+    let db = Machine::de_bruijn(if quick { 8 } else { 14 });
+    let db_traffic = db.symmetric_traffic();
+    let (flux_ms, flux_rate) = timed(reps, || {
+        flux_upper_bound(&db, &db_traffic, 0xbead, 4, 2).rate_bound
+    });
+    println!(
+        "flux_bound      : {:>9} ms   bound {} packets/tick on {}",
+        fmt(flux_ms),
+        fmt(flux_rate),
+        db.name()
+    );
+    rows.push(Row::new(
+        "flux_bound",
+        &db,
+        flux_ms,
+        flux_rate,
+        "packets/tick",
     ));
 
     // Telemetry overhead: the committed proof that the fcn-telemetry

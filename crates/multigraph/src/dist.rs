@@ -75,6 +75,199 @@ pub fn path_from_parents(parent: &[NodeId], src: NodeId, dst: NodeId) -> Option<
     Some(path)
 }
 
+/// Exact hop distance of every `(s, t)` pair, in input order; pairs with no
+/// connecting path get [`UNREACHABLE`].
+///
+/// Pairs are grouped by source and one epoch-stamped scratch serves the
+/// whole call. A source with a single target meets it halfway: a
+/// level-synchronous bidirectional BFS that grows the smaller frontier and
+/// stops at the first node both searches have reached. A source with several
+/// targets runs one forward BFS that stops once its last target is reached.
+/// Neither visits the whole graph unless the pairs need it.
+///
+/// ```
+/// use fcn_multigraph::{pair_distances, Multigraph, UNREACHABLE};
+///
+/// let g = Multigraph::from_edges(5, [(0, 1), (1, 2), (2, 3)]);
+/// let d = pair_distances(&g, &[(0, 3), (2, 0), (2, 2), (0, 4)]);
+/// assert_eq!(d, vec![3, 2, 0, UNREACHABLE]);
+/// ```
+pub fn pair_distances(g: &Multigraph, pairs: &[(NodeId, NodeId)]) -> Vec<u32> {
+    let mut out = vec![UNREACHABLE; pairs.len()];
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_unstable_by_key(|&i| pairs[i].0);
+    let mut scratch = PairScratch::new(g.node_count());
+    for group in order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0) {
+        let src = pairs[group[0]].0;
+        if let [i] = *group {
+            out[i] = scratch.meet(g, src, pairs[i].1);
+        } else {
+            scratch.sweep(g, src, group.iter().map(|&i| pairs[i].1));
+            for &i in group {
+                out[i] = scratch.fwd.dist_to(pairs[i].1, scratch.epoch);
+            }
+        }
+    }
+    out
+}
+
+/// One direction of a search: a node is visited when its stamp equals the
+/// current epoch, so starting a search costs nothing per node.
+struct SearchSide {
+    stamp: Vec<u32>,
+    dist: Vec<u32>,
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl SearchSide {
+    fn new(n: usize) -> Self {
+        SearchSide {
+            stamp: vec![0; n],
+            dist: vec![0; n],
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    fn start(&mut self, root: NodeId, epoch: u32) {
+        self.stamp[root as usize] = epoch;
+        self.dist[root as usize] = 0;
+        self.frontier.clear();
+        self.frontier.push(root);
+    }
+
+    fn dist_to(&self, v: NodeId, epoch: u32) -> u32 {
+        if self.stamp[v as usize] == epoch {
+            self.dist[v as usize]
+        } else {
+            UNREACHABLE
+        }
+    }
+
+    /// Grow the frontier (all at distance `level`) by one level. Returns the
+    /// meeting sum `level + 1 + other.dist[v]` at the first new node `v`
+    /// that `other` has already visited, or `None` once the level is done.
+    fn expand(
+        &mut self,
+        g: &Multigraph,
+        other: &SearchSide,
+        epoch: u32,
+        level: u32,
+    ) -> Option<u32> {
+        self.next.clear();
+        for &u in &self.frontier {
+            for (v, _) in g.neighbors(u) {
+                let v = v as usize;
+                if self.stamp[v] != epoch {
+                    if other.stamp[v] == epoch {
+                        return Some(level + 1 + other.dist[v]);
+                    }
+                    self.stamp[v] = epoch;
+                    self.dist[v] = level + 1;
+                    self.next.push(v as NodeId);
+                }
+            }
+        }
+        std::mem::swap(&mut self.frontier, &mut self.next);
+        None
+    }
+}
+
+/// Reusable state for [`pair_distances`]: 16 bytes per node plus the
+/// frontiers.
+struct PairScratch {
+    epoch: u32,
+    fwd: SearchSide,
+    bwd: SearchSide,
+}
+
+impl PairScratch {
+    fn new(n: usize) -> Self {
+        PairScratch {
+            epoch: 0,
+            fwd: SearchSide::new(n),
+            bwd: SearchSide::new(n),
+        }
+    }
+
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.fwd.stamp.fill(0);
+            self.bwd.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Bidirectional BFS from `s` and `t`, always growing the smaller
+    /// frontier by a whole level.
+    ///
+    /// Exact at the first meeting. While the visited sets are disjoint and
+    /// complete to depths `df` and `db`, `d(s,t) > df + db`: otherwise a
+    /// shortest path's node at depth `df` would lie in both. A level that
+    /// reaches a node `v` of the other side closes a walk of length
+    /// `df + 1 + d_other(v)` with `d_other(v) <= db`, so both bounds meet:
+    /// `d(s,t) = df + db + 1`, and any meeting node gives it.
+    fn meet(&mut self, g: &Multigraph, s: NodeId, t: NodeId) -> u32 {
+        if s == t {
+            return 0;
+        }
+        let epoch = self.next_epoch();
+        self.fwd.start(s, epoch);
+        self.bwd.start(t, epoch);
+        let (mut df, mut db) = (0, 0);
+        while !self.fwd.frontier.is_empty() && !self.bwd.frontier.is_empty() {
+            let met = if self.fwd.frontier.len() <= self.bwd.frontier.len() {
+                df += 1;
+                self.fwd.expand(g, &self.bwd, epoch, df - 1)
+            } else {
+                db += 1;
+                self.bwd.expand(g, &self.fwd, epoch, db - 1)
+            };
+            if let Some(d) = met {
+                return d;
+            }
+        }
+        UNREACHABLE
+    }
+
+    /// Forward BFS from `s` that stops once every target is visited; read
+    /// the results with `self.fwd.dist_to(t, self.epoch)`. The backward
+    /// stamps mark the targets for this epoch.
+    fn sweep(&mut self, g: &Multigraph, s: NodeId, targets: impl Iterator<Item = NodeId>) {
+        let epoch = self.next_epoch();
+        let (fwd, marks) = (&mut self.fwd, &mut self.bwd.stamp);
+        fwd.start(s, epoch);
+        let mut remaining = 0usize;
+        for t in targets {
+            if marks[t as usize] != epoch {
+                marks[t as usize] = epoch;
+                remaining += usize::from(t != s);
+            }
+        }
+        // The frontier doubles as a flat FIFO queue.
+        let mut head = 0;
+        while remaining > 0 && head < fwd.frontier.len() {
+            let u = fwd.frontier[head];
+            head += 1;
+            let du = fwd.dist[u as usize] + 1;
+            for (v, _) in g.neighbors(u) {
+                let v = v as usize;
+                if fwd.stamp[v] != epoch {
+                    fwd.stamp[v] = epoch;
+                    fwd.dist[v] = du;
+                    fwd.frontier.push(v as NodeId);
+                    if marks[v] == epoch {
+                        remaining -= 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Exact diameter (max eccentricity). `O(n·E)`; use on small graphs or rely
 /// on [`distance_stats`] with sampling for large ones.
 ///
@@ -149,9 +342,21 @@ pub fn distance_stats(
 ) -> DistanceStats {
     let n = g.node_count();
     if n <= exact_threshold {
+        // One BFS per source yields both the eccentricity and the distance
+        // total, so the exact path costs n sweeps, not 2n.
+        assert!(n >= 2);
+        let mut max_ecc = 0;
+        let mut total = 0u64;
+        for u in 0..n as NodeId {
+            for dv in bfs_distances(g, u) {
+                assert!(dv != UNREACHABLE, "distance stats on a disconnected graph");
+                max_ecc = max_ecc.max(dv);
+                total += dv as u64;
+            }
+        }
         return DistanceStats {
-            diameter: diameter(g),
-            avg_distance: avg_distance_exact(g),
+            diameter: max_ecc,
+            avg_distance: total as f64 / (n as f64 * (n as f64 - 1.0)),
             exact: true,
         };
     }
@@ -263,6 +468,74 @@ mod tests {
         assert!(!s2.exact);
         assert!(s2.diameter >= 8); // sampled eccentricity lower-bounds diameter
         assert!((s2.avg_distance - s1.avg_distance).abs() / s1.avg_distance < 0.1);
+    }
+
+    #[test]
+    fn exact_stats_equal_the_separate_functions() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut b = crate::MultigraphBuilder::new(12);
+        for i in 0..11 {
+            b.add_edge_mult(i, i + 1, 1 + i % 3);
+        }
+        b.add_edge(0, 7).add_edge(3, 3).add_edge(5, 11);
+        for g in [path_graph(2), path_graph(9), cycle_graph(10), b.build()] {
+            let stats = distance_stats(&g, g.node_count(), 1, &mut rng);
+            let separate = DistanceStats {
+                diameter: diameter(&g),
+                avg_distance: avg_distance_exact(&g),
+                exact: true,
+            };
+            assert_eq!(stats, separate);
+            assert_eq!(
+                stats.avg_distance.to_bits(),
+                separate.avg_distance.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn exact_stats_reject_disconnected() {
+        let g = Multigraph::from_edges(4, [(0, 1), (2, 3)]);
+        let _ = distance_stats(&g, 8, 1, &mut StdRng::seed_from_u64(0));
+    }
+
+    /// `bfs_distances(g, s)[t]` for every pair: the reference.
+    fn full_bfs(g: &Multigraph, pairs: &[(NodeId, NodeId)]) -> Vec<u32> {
+        pairs
+            .iter()
+            .map(|&(s, t)| bfs_distances(g, s)[t as usize])
+            .collect()
+    }
+
+    #[test]
+    fn pair_distances_edge_cases() {
+        let g = cycle_graph(9);
+        assert!(pair_distances(&g, &[]).is_empty());
+        // A lone pair with s == t, then s == t inside a multi-target group.
+        assert_eq!(pair_distances(&g, &[(4, 4)]), vec![0]);
+        let pairs = [(2, 2), (2, 6), (2, 2)];
+        assert_eq!(pair_distances(&g, &pairs), vec![0, 4, 0]);
+        // Repeated pairs, and targets that are other groups' sources.
+        let pairs = [(0, 3), (3, 0), (0, 3), (3, 8), (8, 0), (0, 8)];
+        let d = pair_distances(&g, &pairs);
+        assert_eq!(d, vec![3, 3, 3, 4, 1, 1]);
+        assert_eq!(d, full_bfs(&g, &pairs));
+    }
+
+    #[test]
+    fn pair_distances_mark_disconnected_pairs_in_both_arms() {
+        // Components {0,1,2} and {3,4}; node 5 is isolated.
+        let g = Multigraph::from_edges(6, [(0, 1), (1, 2), (3, 4)]);
+        // Lone targets: the bidirectional search runs dry on either side.
+        assert_eq!(pair_distances(&g, &[(0, 4)]), vec![UNREACHABLE]);
+        assert_eq!(pair_distances(&g, &[(5, 0)]), vec![UNREACHABLE]);
+        assert_eq!(pair_distances(&g, &[(3, 5)]), vec![UNREACHABLE]);
+        // A shared source: the sweep exhausts its component.
+        let pairs = [(0, 3), (0, 2), (0, 5), (4, 3), (4, 0)];
+        let d = pair_distances(&g, &pairs);
+        assert_eq!(d, vec![UNREACHABLE, 2, UNREACHABLE, 1, UNREACHABLE]);
+        assert_eq!(d, full_bfs(&g, &pairs));
     }
 
     #[test]

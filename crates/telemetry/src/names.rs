@@ -129,6 +129,8 @@ pub const BANDWIDTH_CELLS_TOTAL: &str = "bandwidth_cells_total";
 pub const BANDWIDTH_SATURATION_TICKS_TOTAL: &str = "bandwidth_saturation_ticks_total";
 /// Per-cell tick counts (histogram).
 pub const BANDWIDTH_CELL_TICKS: &str = "bandwidth_cell_ticks";
+/// Span around one certified flux upper bound (cuts, distance, capacity).
+pub const SPAN_FLUX_BOUND: &str = "flux_bound";
 
 // --- degraded sweeps ----------------------------------------------------
 
@@ -245,6 +247,7 @@ pub const ALL: &[&str] = &[
     BANDWIDTH_CELLS_TOTAL,
     BANDWIDTH_SATURATION_TICKS_TOTAL,
     BANDWIDTH_CELL_TICKS,
+    SPAN_FLUX_BOUND,
     SPAN_DEGRADED_BETA_SWEEP,
     DEGRADED_POINTS_TOTAL,
     DEGRADED_CELLS_TOTAL,

@@ -18,8 +18,7 @@
 //!   validator presence) and **TEL-NAME** (duplicate metric-name values),
 //!   which moved here from the per-file pass.
 //!
-//! Everything operates on [`FileIndex`] only — never on raw sources — so a
-//! cache-hit file participates in cross-file analysis at full fidelity.
+//! Everything operates on [`FileIndex`] only — never on raw sources.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -13,10 +13,6 @@
 //!   `names::X` reference elsewhere;
 //! * versioned `fcn-*/N` schema-tag literals (including CI gate files);
 //! * whether the file carries a validator-shaped function.
-//!
-//! The index is also the unit of the incremental cache: it round-trips
-//! losslessly through [`crate::cache`], so a cache hit skips scrubbing and
-//! phase 1 entirely while phase 2 still sees the full workspace picture.
 
 use crate::rules::{has_prefix_token, schema_tags_in};
 use crate::source::{FileKind, SourceFile};

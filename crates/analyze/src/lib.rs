@@ -13,10 +13,9 @@
 //! Analysis runs in two phases:
 //!
 //! 1. **Per-file** ([`phase1`]): each file is scrubbed ([`source`]), run
-//!    through the ten per-file rules ([`rules`]), and condensed into a
+//!    through the nine per-file rules ([`rules`]), and condensed into a
 //!    lightweight symbol/event index ([`index`]). The triple (findings,
-//!    suppressions, index) is a [`FileArtifact`] — the unit of the
-//!    incremental [`cache`].
+//!    suppressions, index) is a [`FileArtifact`].
 //! 2. **Cross-file** ([`graph`]): the merged index set drives the four
 //!    workspace rules — `LOCK-ORDER`, `TEL-DEAD`, `SCHEMA-DRIFT`,
 //!    `BLOCKING-IN-HANDLER` — plus the workspace halves of `SCHEMA-TAG`
@@ -36,7 +35,6 @@
 //! See DESIGN.md "§ Static analysis & enforced invariants" for the rule
 //! table and the rationale tying each rule to a determinism pin.
 
-pub mod cache;
 pub mod graph;
 pub mod index;
 pub mod report;
@@ -49,26 +47,15 @@ use std::path::Path;
 use report::{occurrence_keys, Finding, Totals};
 use source::SourceFile;
 
-/// A suppression in cacheable form (no interior mutability, no source).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedSuppression {
-    /// 1-based line of the `fcn-allow` comment (covers this line and the next).
-    pub line: usize,
-    /// Rule id it names.
-    pub rule: String,
-    /// Justification text (must be non-empty to mask anything).
-    pub reason: String,
-}
-
-/// Everything phase 1 produces for one file: the unit of caching.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Everything phase 1 produces for one file.
+#[derive(Debug)]
 pub struct FileArtifact {
     /// Workspace-relative path.
     pub path: String,
     /// Raw per-file findings (pre-suppression, pre-baseline).
     pub findings: Vec<Finding>,
     /// Inline suppressions found in the file.
-    pub suppressions: Vec<CachedSuppression>,
+    pub suppressions: Vec<source::Suppression>,
     /// The phase-1 symbol/event index.
     pub index: index::FileIndex,
 }
@@ -78,19 +65,10 @@ pub fn phase1(path: &str, text: &str) -> FileArtifact {
     let sf = SourceFile::parse(path, text);
     let findings = rules::check_file(&sf);
     let idx = index::build_index(&sf);
-    let suppressions = sf
-        .suppressions
-        .iter()
-        .map(|s| CachedSuppression {
-            line: s.line,
-            rule: s.rule.clone(),
-            reason: s.reason.clone(),
-        })
-        .collect();
     FileArtifact {
         path: path.to_string(),
         findings,
-        suppressions,
+        suppressions: sf.suppressions,
         index: idx,
     }
 }
@@ -105,17 +83,20 @@ pub struct Analysis {
     pub totals: Totals,
 }
 
-/// Phase 2 + filtering: combine per-file artifacts with the cross-file
-/// rules, then apply the rule filter, suppressions, and the baseline.
-pub fn analyze_artifacts(
-    artifacts: &[FileArtifact],
+/// Analyze in-memory sources (the unit-test entry point; the walker and CLI
+/// both funnel here so fixtures and the real workspace share one code path):
+/// phase 1 per file, then the cross-file rules, the rule filter,
+/// suppressions, and the baseline.
+pub fn analyze_sources(
+    sources: &[(String, String)],
     rule_filter: &[String],
     baseline: &[String],
 ) -> Analysis {
+    let artifacts: Vec<FileArtifact> = sources.iter().map(|(p, t)| phase1(p, t)).collect();
     let indexes: Vec<index::FileIndex> = artifacts.iter().map(|a| a.index.clone()).collect();
 
     let mut raw: Vec<Finding> = Vec::new();
-    for a in artifacts {
+    for a in &artifacts {
         raw.extend(a.findings.iter().cloned());
     }
     raw.extend(graph::check_workspace(&indexes));
@@ -176,17 +157,6 @@ pub fn analyze_artifacts(
     }
 }
 
-/// Analyze in-memory sources (the unit-test entry point; the walker and CLI
-/// both funnel here so fixtures and the real workspace share one code path).
-pub fn analyze_sources(
-    sources: &[(String, String)],
-    rule_filter: &[String],
-    baseline: &[String],
-) -> Analysis {
-    let artifacts: Vec<FileArtifact> = sources.iter().map(|(p, t)| phase1(p, t)).collect();
-    analyze_artifacts(&artifacts, rule_filter, baseline)
-}
-
 /// Analyze the on-disk workspace rooted at `root`, optionally restricted to
 /// `paths` (root-relative prefixes).
 pub fn analyze_workspace(
@@ -194,20 +164,6 @@ pub fn analyze_workspace(
     paths: &[String],
     rule_filter: &[String],
     baseline: &[String],
-) -> std::io::Result<Analysis> {
-    analyze_workspace_cached(root, paths, rule_filter, baseline, None)
-}
-
-/// [`analyze_workspace`] with an optional incremental cache: phase-1
-/// artifacts of files whose content hash matches the cache are reused
-/// verbatim; phase 2 always reruns. The (possibly refreshed) cache is
-/// written back to `cache_path` after analysis.
-pub fn analyze_workspace_cached(
-    root: &Path,
-    paths: &[String],
-    rule_filter: &[String],
-    baseline: &[String],
-    cache_path: Option<&Path>,
 ) -> std::io::Result<Analysis> {
     let mut sources = walk::collect_sources(root)?;
     if !paths.is_empty() {
@@ -220,29 +176,7 @@ pub fn analyze_workspace_cached(
                 .any(|q| p == q || p.starts_with(&format!("{q}/")))
         });
     }
-
-    let cached = cache_path
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|text| cache::parse(&text))
-        .unwrap_or_default();
-
-    let mut artifacts: Vec<(FileArtifact, u64)> = Vec::with_capacity(sources.len());
-    for (path, text) in &sources {
-        let hash = cache::fnv1a64(text);
-        let artifact = match cached.get(path) {
-            Some((h, a)) if *h == hash => a.clone(),
-            _ => phase1(path, text),
-        };
-        artifacts.push((artifact, hash));
-    }
-
-    if let Some(p) = cache_path {
-        let entries: Vec<(&FileArtifact, u64)> = artifacts.iter().map(|(a, h)| (a, *h)).collect();
-        std::fs::write(p, cache::render(&entries))?;
-    }
-
-    let plain: Vec<FileArtifact> = artifacts.into_iter().map(|(a, _)| a).collect();
-    Ok(analyze_artifacts(&plain, rule_filter, baseline))
+    Ok(analyze_sources(&sources, rule_filter, baseline))
 }
 
 #[cfg(test)]
@@ -312,21 +246,5 @@ mod tests {
         )];
         let got = analyze_sources(&sources, &[], &[]);
         assert_eq!(got.totals.findings, 1, "reason-less allow is ignored");
-    }
-
-    #[test]
-    fn artifacts_from_phase1_match_direct_analysis() {
-        let sources = vec![
-            src(
-                "crates/telemetry/src/names.rs",
-                "pub const X: &str = \"x_total\";\n",
-            ),
-            src("crates/routing/src/x.rs", "fn f() { names::X; }\n"),
-        ];
-        let direct = analyze_sources(&sources, &[], &[]);
-        let arts: Vec<FileArtifact> = sources.iter().map(|(p, t)| phase1(p, t)).collect();
-        let via_artifacts = analyze_artifacts(&arts, &[], &[]);
-        assert_eq!(direct.findings, via_artifacts.findings);
-        assert_eq!(direct.totals, via_artifacts.totals);
     }
 }

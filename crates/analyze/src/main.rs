@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fcn-analyze [--rule ID]... [--format text|json|sarif] [--baseline PATH]
-//!             [--no-baseline] [--write-baseline] [--cache PATH]
+//!             [--no-baseline] [--write-baseline]
 //!             [--root DIR] [--list] [paths…]
 //! ```
 //!
@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fcn_analyze::{analyze_workspace_cached, report, rules, walk};
+use fcn_analyze::{analyze_workspace, report, rules, walk};
 
 struct Opts {
     rules: Vec<String>,
@@ -20,7 +20,6 @@ struct Opts {
     baseline: Option<PathBuf>,
     no_baseline: bool,
     write_baseline: bool,
-    cache: Option<PathBuf>,
     root: Option<PathBuf>,
     list: bool,
     paths: Vec<String>,
@@ -28,13 +27,12 @@ struct Opts {
 
 fn usage() -> &'static str {
     "usage: fcn-analyze [--rule ID]... [--format text|json|sarif] [--baseline PATH]\n\
-     \x20                  [--no-baseline] [--write-baseline] [--cache PATH]\n\
+     \x20                  [--no-baseline] [--write-baseline]\n\
      \x20                  [--root DIR] [--list] [paths...]\n\
      \n\
      Checks the workspace against the determinism/error-typing/schema rules.\n\
      Suppress one finding with `// fcn-allow: RULE-ID reason` on or above the\n\
-     offending line. `--cache PATH` reuses per-file results for unchanged\n\
-     files (cross-file rules always rerun; output is identical either way).\n\
+     offending line.\n\
      Exit codes: 0 clean, 1 findings, 2 I/O or usage error."
 }
 
@@ -45,7 +43,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         baseline: None,
         no_baseline: false,
         write_baseline: false,
-        cache: None,
         root: None,
         list: false,
         paths: Vec::new(),
@@ -74,9 +71,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             }
             "--no-baseline" => o.no_baseline = true,
             "--write-baseline" => o.write_baseline = true,
-            "--cache" => {
-                o.cache = Some(PathBuf::from(it.next().ok_or("--cache needs a path")?));
-            }
             "--root" => {
                 o.root = Some(PathBuf::from(it.next().ok_or("--root needs a dir")?));
             }
@@ -144,13 +138,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let analysis = match analyze_workspace_cached(
-        &root,
-        &opts.paths,
-        &opts.rules,
-        &baseline,
-        opts.cache.as_deref(),
-    ) {
+    let analysis = match analyze_workspace(&root, &opts.paths, &opts.rules, &baseline) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("fcn-analyze: scanning {}: {e}", root.display());

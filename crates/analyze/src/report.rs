@@ -203,8 +203,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
 
 /// Render the findings as a SARIF 2.1.0 log (single run, one result per
 /// finding, rule metadata from the analyzer's rule table sorted by id).
-/// Deterministic: equal inputs produce identical bytes, which is what lets
-/// CI `cmp` a cached run against a cold one.
+/// Deterministic: equal inputs produce identical bytes.
 pub fn render_sarif(findings: &[Finding]) -> String {
     let mut rules: Vec<(&str, &str)> = crate::rules::RULES.to_vec();
     rules.sort();

@@ -4,7 +4,7 @@
 //! against throwaway scratch workspaces, pinning the parts of the tool
 //! that CI and editor integrations script against: the 0/1/2 exit-code
 //! contract, `--rule` filtering, the sorted `--list` table, SARIF output,
-//! and cold-vs-cached byte identity.
+//! and baselines.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -152,7 +152,6 @@ fn list_is_sorted_and_pins_the_rule_table() {
         "SCHEMA-DRIFT",
         "SCHEMA-TAG",
         "SERVE-DEADLINE",
-        "SHARD-MERGE",
         "TEL-DEAD",
         "TEL-NAME",
     ];
@@ -220,44 +219,6 @@ fn sarif_output_validates_and_carries_findings() {
     assert_eq!(code(&out2), 0);
     fcn_analyze::report::validate_sarif(&stdout(&out2)).expect("clean SARIF validates");
     assert!(stdout(&out2).contains("\"results\":[]"));
-}
-
-// ------------------------------------------------------------------ cache
-
-#[test]
-fn cache_is_transparent_and_invalidates_on_edit() {
-    let s = Scratch::new("cache");
-    s.write(
-        "crates/routing/src/bad.rs",
-        "use std::collections::HashMap;\n",
-    );
-    s.write("crates/routing/src/ok.rs", "pub fn f() {}\n");
-    let cache = s.root.join("analysis.cache");
-    let cache_arg = cache.to_str().expect("utf8 path");
-
-    let cold = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&cold), 1);
-    assert!(cache.exists(), "cache file written");
-
-    let warm = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&warm), 1);
-    assert_eq!(
-        stdout(&cold),
-        stdout(&warm),
-        "cold and cached runs must be byte-identical"
-    );
-
-    // Editing the file changes its hash: the stale artifact must not replay.
-    s.write("crates/routing/src/bad.rs", "pub fn fixed() {}\n");
-    let edited = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&edited), 0, "fix is visible through the cache");
-    assert!(stdout(&edited).contains("\"results\":[]"));
-
-    // A corrupted cache is discarded, not trusted.
-    std::fs::write(&cache, "fcn-analyze-cache/1 rules=999\ngarbage\n").expect("corrupt");
-    let recovered = s.run(&["--format", "sarif", "--cache", cache_arg]);
-    assert_eq!(code(&recovered), 0);
-    assert_eq!(stdout(&edited), stdout(&recovered));
 }
 
 // --------------------------------------------------------------- baseline

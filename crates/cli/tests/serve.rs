@@ -1,7 +1,7 @@
 //! Differential harness for service mode: every request kind served by a
 //! real `fcnemu serve` daemon process must return **byte-identical** output
 //! (and the same exit code) as the inline `fcnemu` invocation of the same
-//! command, across the jobs × shards × backend grid, under concurrent
+//! command, across the jobs × backend grid, under concurrent
 //! interleaved clients, and through the typed failure paths (overload,
 //! deadline cancellation, SIGTERM drain).
 
@@ -104,40 +104,31 @@ fn daemon_matches_inline_across_the_grid() {
     let mut client = daemon.client();
     assert_eq!(client.call("ping", &[]).unwrap().output, "pong\n");
     for jobs in ["1", "4"] {
-        for shards in ["1", "4"] {
-            for backend in ["tick", "events"] {
-                if backend == "events" && shards != "1" {
-                    continue; // CLI-rejected combination, pinned below
-                }
-                let grid = ["--jobs", jobs, "--shards", shards, "--backend", backend];
-                let with = |head: &[&'static str]| -> Vec<&str> {
-                    let mut v = head.to_vec();
-                    v.extend_from_slice(&grid);
-                    v
-                };
-                assert_differential(
-                    &mut client,
-                    "beta",
-                    &with(&["mesh2", "36", "--trials", "2"]),
-                );
-                assert_differential(&mut client, "audit", &with(&["mesh2", "36"]));
-                assert_differential(
-                    &mut client,
-                    "faults",
-                    &with(&[
-                        "mesh2", "36", "--rates", "0.0,0.05", "--trials", "2", "--quick",
-                    ]),
-                );
-            }
+        for backend in ["tick", "events"] {
+            let grid = ["--jobs", jobs, "--backend", backend];
+            let with = |head: &[&'static str]| -> Vec<&str> {
+                let mut v = head.to_vec();
+                v.extend_from_slice(&grid);
+                v
+            };
+            assert_differential(
+                &mut client,
+                "beta",
+                &with(&["mesh2", "36", "--trials", "2"]),
+            );
+            assert_differential(&mut client, "audit", &with(&["mesh2", "36"]));
+            assert_differential(
+                &mut client,
+                "faults",
+                &with(&[
+                    "mesh2", "36", "--rates", "0.0,0.05", "--trials", "2", "--quick",
+                ]),
+            );
         }
     }
-    // The rejected events+shards combination produces the identical error
-    // bytes and exit code through the daemon.
-    assert_differential(
-        &mut client,
-        "beta",
-        &["mesh2", "36", "--shards", "4", "--backend", "events"],
-    );
+    // A rejected flag value produces the identical error bytes and exit
+    // code through the daemon.
+    assert_differential(&mut client, "beta", &["mesh2", "36", "--backend", "warp"]);
     // So does a malformed family (domain error, exit 1).
     assert_differential(&mut client, "beta", &["no_such_family", "36"]);
     daemon.shutdown();

@@ -24,16 +24,14 @@ use crate::packet::{PacketPath, Strategy};
 /// `(machine, batch, config)` — the choice is purely a performance knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Backend {
-    /// The synchronous tick loop ([`crate::route_compiled`]), sharded when
-    /// the context asks for shard workers. Best under dense traffic where
-    /// almost every tick moves packets.
+    /// The synchronous tick loop ([`crate::route_compiled`]). Best under
+    /// dense traffic where almost every tick moves packets.
     #[default]
     Tick,
     /// The event-driven engine ([`crate::events::route_events`]): the same
     /// tick loop, but quiescent spans are skipped via a calendar wheel.
     /// Best for sparse injection schedules, fault outage windows, and long
-    /// drain tails. Single-shard only — a context configured with both
-    /// shard workers and this backend routes through the event engine.
+    /// drain tails.
     Events,
 }
 
@@ -80,7 +78,6 @@ pub struct RouteCtx<'a> {
     machine: &'a Machine,
     net: Arc<CompiledNet>,
     cache: Option<&'a PlanCache>,
-    shards: usize,
     backend: Backend,
     cancel: Option<&'a AtomicBool>,
 }
@@ -92,7 +89,6 @@ impl<'a> RouteCtx<'a> {
             machine,
             net: CompiledNet::shared(machine),
             cache: None,
-            shards: 1,
             backend: Backend::Tick,
             cancel: None,
         }
@@ -106,7 +102,6 @@ impl<'a> RouteCtx<'a> {
             machine,
             net,
             cache: None,
-            shards: 1,
             backend: Backend::Tick,
             cancel: None,
         }
@@ -118,18 +113,8 @@ impl<'a> RouteCtx<'a> {
         self
     }
 
-    /// Route every batch through [`crate::shard::route_sharded_pooled`]
-    /// with `shards` shard workers (`<= 1` keeps the 1-shard engine).
-    /// Outcomes are bit-identical at every shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Select the router [`Backend`] for this context's batches. Outcomes
-    /// are bit-identical across backends; [`Backend::Events`] takes
-    /// precedence over a configured shard count (the event engine is
-    /// single-shard), which the CLI rejects up front as a flag conflict.
+    /// are bit-identical across backends.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -143,11 +128,6 @@ impl<'a> RouteCtx<'a> {
     pub fn with_cancel(mut self, cancel: &'a AtomicBool) -> Self {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// The configured shard count (1 = the sequential engine).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The configured router backend.
@@ -197,16 +177,6 @@ impl<'a> RouteCtx<'a> {
                     Some(c),
                 )
             }),
-            (Backend::Tick, None) if self.shards > 1 => {
-                crate::shard::route_sharded_pooled(&self.net, &batch, cfg, self.shards)
-            }
-            (Backend::Tick, Some(c)) if self.shards > 1 => {
-                // Same plan construction as `route_sharded_pooled`, so a
-                // watched run that completes is bit-identical to the
-                // unwatched dispatch above.
-                let plan = crate::shard::ShardPlan::balanced(&self.net, self.shards);
-                crate::shard::route_sharded_gated(&self.net, &batch, cfg, &plan, Some(c))
-            }
             (Backend::Tick, None) => route_compiled_pooled(&self.net, &batch, cfg),
             (Backend::Tick, Some(c)) => crate::engine::POOLED_SCRATCH.with(|s| {
                 crate::engine::route_compiled_gated(

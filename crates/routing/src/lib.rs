@@ -25,12 +25,8 @@
 //!   injection schedules, fault outage windows, drain tails), bit-identical
 //!   to the tick backend;
 //! * [`harness`] — batch-rate measurement and saturation sweeps, built
-//!   around the compile-once [`RouteCtx`] with selectable [`Backend`];
-//! * [`shard`] + [`boundary`] — the K-shard router: shard-local tick phases
-//!   joined by a deterministic boundary exchange, bit-identical to the
-//!   1-shard engine at every shard count.
+//!   around the compile-once [`RouteCtx`] with selectable [`Backend`].
 
-pub mod boundary;
 pub mod cache;
 pub mod compiled;
 pub mod engine;
@@ -39,10 +35,8 @@ pub mod harness;
 pub mod native;
 pub mod oracle;
 pub mod packet;
-pub mod shard;
 pub mod steady;
 
-pub use boundary::{merge_outboxes, BoundaryMsg, Outbox};
 pub use cache::PlanCache;
 pub use compiled::{CompiledNet, InjectionSchedule, PacketBatch, RouteError};
 pub use engine::{
@@ -62,7 +56,6 @@ pub use native::{
 };
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};
-pub use shard::{route_sharded, route_sharded_gated, route_sharded_pooled, ShardPlan, ShardView};
 pub use steady::{
     saturation_throughput, steady_state_rate, steady_state_rate_ctx, SteadyConfig, SteadyOutcome,
 };

@@ -756,6 +756,28 @@ mod tests {
     }
 
     #[test]
+    fn depth_bomb_frame_gets_a_bad_request_and_the_daemon_keeps_serving() {
+        // 1 MiB of `[` used to overflow the request decoder's stack and
+        // abort the whole daemon.
+        let (_server, shutdown, runner, addr) = start(2);
+        let mut conn = FramedConn::connect(&addr).unwrap();
+        conn.write_frame("[".repeat(1 << 20).as_bytes()).unwrap();
+        let body = String::from_utf8(conn.read_frame(None).unwrap().unwrap()).unwrap();
+        let err = Response::decode(&body).unwrap().error.unwrap();
+        assert_eq!(err.kind, ErrorKind::BadRequest);
+        assert!(
+            err.message.contains("recursion limit exceeded"),
+            "{}",
+            err.message
+        );
+        let mut client = Client::from_conn(conn);
+        assert_eq!(client.call("ping", &[]).unwrap().output, "pong\n");
+        let mut fresh = Client::connect(&addr).unwrap();
+        assert_eq!(fresh.call("ping", &[]).unwrap().output, "pong\n");
+        stop(&shutdown, runner);
+    }
+
+    #[test]
     fn overload_is_rejected_typed_and_promptly() {
         // max_queued 0 restores the PR 8 binary gate: no queue, shed now.
         let (server, shutdown, runner, addr) = start_with(ServerConfig {

@@ -1,4 +1,4 @@
-//! The rule set: thirteen invariant checks (nine per-file, four cross-file).
+//! The rule set: twelve invariant checks (eight per-file, four cross-file).
 //!
 //! | id | invariant it pins |
 //! |----|-------------------|
@@ -10,7 +10,6 @@
 //! | `TEL-NAME`   | telemetry metric names come from one const table |
 //! | `ATOMIC-DOC` | every atomic `Ordering::` carries a justification |
 //! | `SERVE-DEADLINE` | service-crate sockets speak only through the framed I/O layer |
-//! | `CHAOS-SEED` | wire-fault injection lives only in the seeded ChaosPlan path |
 //! | `LOCK-ORDER` | `lock_ranked` nesting follows the declared lockdep rank order |
 //! | `TEL-DEAD`   | every telemetry name is recorded somewhere, every record site named |
 //! | `SCHEMA-DRIFT` | emitter, validator, and CI gate agree on every tag's version |
@@ -82,12 +81,6 @@ pub const RULES: &[(&str, &str)] = &[
          deadline or wedge a drain on a stalled peer",
     ),
     (
-        "CHAOS-SEED",
-        "fault injection in fcn-serve is handled only by the seeded ChaosPlan path \
-         (chaos.rs deciding, io.rs applying): a ChaosAction constructed or matched \
-         anywhere else is an injection site the differential pin cannot replay",
-    ),
-    (
         "LOCK-ORDER",
         "lock_ranked nesting must follow the declared lockdep::ranks order: every \
          acquisition made while other ranked locks are held strictly increases the \
@@ -117,10 +110,6 @@ pub const RULES: &[(&str, &str)] = &[
 /// The one file in fcn-serve allowed to call raw socket reads/writes: the
 /// deadline-wrapping framed I/O layer itself.
 pub const SERVE_IO_ALLOWLIST: &[&str] = &["crates/serve/src/io.rs"];
-
-/// The two files that make up the seeded wire-chaos path: the plan that
-/// decides each fault and the framed I/O layer that applies it.
-pub const CHAOS_SEED_ALLOWLIST: &[&str] = &["crates/serve/src/chaos.rs", "crates/serve/src/io.rs"];
 
 /// True if `id` names a known rule.
 pub fn known_rule(id: &str) -> bool {
@@ -508,44 +497,6 @@ fn serve_deadline(sf: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// CHAOS-SEED: chaos actions handled outside the seeded plan path. The
-/// differential chaos pin (retrying client vs chaos daemon is byte-identical
-/// to a clean run) holds because every injected fault is a pure function of
-/// (seed, rates, connection, frame) — decided in `chaos.rs`, applied in
-/// `io.rs`, nowhere else. Any other site constructing or matching a
-/// `ChaosAction` is an ad-hoc injection point the plan cannot account for,
-/// which silently unpins the replay. Imports/re-exports don't inject and
-/// are exempt.
-fn chaos_seed(sf: &SourceFile, out: &mut Vec<Finding>) {
-    if sf.kind != FileKind::Lib || sf.crate_name != "serve" {
-        return;
-    }
-    if CHAOS_SEED_ALLOWLIST.contains(&sf.path.as_str()) {
-        return;
-    }
-    for (i, line) in sf.lines.iter().enumerate() {
-        let ln = i + 1;
-        if sf.is_test_line(ln) {
-            continue;
-        }
-        let code = line.code.trim_start();
-        if code.starts_with("use ") || code.starts_with("pub use ") {
-            continue;
-        }
-        if !token_hits(&line.code, "ChaosAction").is_empty() {
-            out.push(finding(
-                sf,
-                ln,
-                "CHAOS-SEED",
-                "`ChaosAction` handled outside the seeded chaos path (chaos.rs / \
-                 io.rs): route all fault injection through ChaosPlan so the \
-                 differential replay pin stays sound"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 /// Run every per-file rule over `sf`.
 pub fn check_file(sf: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -557,7 +508,6 @@ pub fn check_file(sf: &SourceFile) -> Vec<Finding> {
     tel_name(sf, &mut out);
     atomic_doc(sf, &mut out);
     serve_deadline(sf, &mut out);
-    chaos_seed(sf, &mut out);
     out
 }
 

@@ -143,7 +143,6 @@ fn list_is_sorted_and_pins_the_rule_table() {
     let expected = vec![
         "ATOMIC-DOC",
         "BLOCKING-IN-HANDLER",
-        "CHAOS-SEED",
         "DET-HASH",
         "DET-RNG",
         "DET-TIME",

@@ -411,60 +411,6 @@ fn serve_deadline_suppressed_with_reason() {
     assert_suppressed(&a);
 }
 
-// ------------------------------------------------------------- CHAOS-SEED
-
-#[test]
-fn chaos_seed_fires_on_actions_handled_outside_the_plan_path() {
-    let a = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub fn f() -> ChaosAction { ChaosAction::Truncate }\n",
-    )]);
-    assert_single(&a, "CHAOS-SEED", 1);
-    // Matching an action is an injection site too, not just constructing.
-    let b = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub fn g(a: &ChaosAction) -> bool { matches!(a, ChaosAction::Truncate) }\n",
-    )]);
-    assert_eq!(rule_ids(&b), vec!["CHAOS-SEED"]);
-}
-
-#[test]
-fn chaos_seed_clean_in_the_plan_path_imports_and_other_crates() {
-    // chaos.rs decides and io.rs applies: both are the sanctioned path.
-    let a = run(&[
-        (
-            "crates/serve/src/chaos.rs",
-            "pub fn f() -> ChaosAction { ChaosAction::Truncate }\n",
-        ),
-        (
-            "crates/serve/src/io.rs",
-            "pub fn g(a: ChaosAction) -> bool { a == ChaosAction::Truncate }\n",
-        ),
-    ]);
-    assert_clean(&a);
-    // Imports and re-exports don't inject anything.
-    let b = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub use crate::chaos::ChaosAction;\nuse crate::chaos::ChaosAction as Act;\n",
-    )]);
-    assert_clean(&b);
-    // Other crates are outside the rule's jurisdiction.
-    let c = run(&[(
-        "crates/cli/src/fx.rs",
-        "pub fn f() -> ChaosAction { ChaosAction::Truncate }\n",
-    )]);
-    assert_clean(&c);
-}
-
-#[test]
-fn chaos_seed_suppressed_with_reason() {
-    let a = run(&[(
-        "crates/serve/src/fx.rs",
-        "pub fn f(a: &ChaosAction) { render(a); } // fcn-allow: CHAOS-SEED fixture, display only\n",
-    )]);
-    assert_suppressed(&a);
-}
-
 // ------------------------------------------------------------ self-hosting
 
 /// The committed workspace must be clean under its own analyzer: zero

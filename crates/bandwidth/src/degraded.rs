@@ -28,8 +28,8 @@ use fcn_exec::{job_seed, Pool};
 use fcn_faults::{FaultPlan, FaultSpec};
 use fcn_multigraph::Traffic;
 use fcn_routing::{
-    plan_routes_degraded, plateau_rate, route_compiled_pooled, route_events_pooled, AbortCause,
-    Backend, CompiledNet, PacketBatch, PlanCache, RateSample, RouterConfig, Strategy,
+    plan_routes_degraded, plateau_rate, route, AbortCause, Backend, CompiledNet, PacketBatch,
+    PlanCache, RateSample, RouterConfig, RunOpts, Strategy,
 };
 use fcn_topology::Machine;
 use serde::{Deserialize, Serialize};
@@ -237,10 +237,11 @@ impl DegradedSweep {
         let batch = PacketBatch::compile(net, &dp.paths)
             // fcn-allow: ERR-UNWRAP the fault-aware planner only emits paths along surviving wires, so compile cannot reject them
             .unwrap_or_else(|e| panic!("degraded planner produced unroutable path: {e}"));
-        let outcome = match self.backend {
-            Backend::Events => route_events_pooled(net, &batch, self.router),
-            Backend::Tick => route_compiled_pooled(net, &batch, self.router),
+        let opts = RunOpts {
+            backend: self.backend,
+            ..RunOpts::default()
         };
+        let outcome = route(net, &batch, self.router, opts);
         // "Completed" here means the router *terminated with a typed
         // outcome* — everything routable was delivered — even if some
         // packets were stranded by dead wires. Only hitting the tick budget

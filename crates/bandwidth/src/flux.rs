@@ -302,16 +302,17 @@ mod tests {
     #[test]
     fn flux_upper_bounds_measured_rate() {
         // Soundness: measured rate never exceeds the certified bound.
-        use fcn_routing::{measure_rate, RouterConfig, Strategy};
+        use fcn_routing::{measure_rate_ctx, RouteCtx, RouterConfig, Strategy};
         for m in [Machine::mesh(2, 8), Machine::de_bruijn(4), Machine::tree(4)] {
             let t = m.symmetric_traffic();
             let fb = flux_upper_bound(&m, &t, 3, 4, 2);
-            let s = measure_rate(
-                &m,
+            let s = measure_rate_ctx(
+                &RouteCtx::new(&m),
                 &t,
                 8 * t.n(),
                 Strategy::ShortestPath,
                 RouterConfig::default(),
+                17 ^ 0x7ea55a17,
                 17,
             );
             assert!(s.completed);

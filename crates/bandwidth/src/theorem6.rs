@@ -15,7 +15,7 @@
 //!   claim that all three agree within constants.
 
 use fcn_multigraph::{Embedding, NodeId, Traffic};
-use fcn_routing::{measure_rate, RouterConfig, Strategy};
+use fcn_routing::{measure_rate_ctx, RouteCtx, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,12 +101,13 @@ pub fn theorem6_sandwich(
     let traffic = machine.symmetric_traffic();
     let emb = embedding_lower_bound(machine, &traffic, seed);
     let flux = flux_upper_bound(machine, &traffic, seed, 4, 2);
-    let measured = measure_rate(
-        machine,
+    let measured = measure_rate_ctx(
+        &RouteCtx::new(machine),
         &traffic,
         messages_per_proc * traffic.n(),
         Strategy::ShortestPath,
         RouterConfig::default(),
+        seed ^ 0x7ea55a17,
         seed,
     );
     assert!(measured.completed, "routing incomplete");

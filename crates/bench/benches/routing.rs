@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fcn_routing::engine::reference;
 use fcn_routing::{
-    measure_rate_with, route_batch, route_compiled, CompiledNet, PacketBatch, PathOracle,
-    PlanCache, QueueDiscipline, RouterConfig, RouterScratch, Strategy,
+    measure_rate_ctx, route, CompiledNet, PacketBatch, PathOracle, PlanCache, QueueDiscipline,
+    RouteCtx, RouterConfig, RunOpts, Strategy,
 };
 use fcn_topology::Machine;
 
@@ -34,7 +34,7 @@ fn bench_route_batch(c: &mut Criterion) {
             &routes,
             |b, routes| {
                 b.iter(|| {
-                    let out = route_batch(&m, routes.clone(), RouterConfig::default());
+                    let out = RouteCtx::new(&m).route_paths(routes, RouterConfig::default());
                     assert!(out.completed);
                     out.ticks
                 })
@@ -68,7 +68,7 @@ fn bench_disciplines(c: &mut Criterion) {
                     discipline: d,
                     ..Default::default()
                 };
-                b.iter(|| route_batch(&m, routes.clone(), cfg).ticks)
+                b.iter(|| RouteCtx::new(&m).route_paths(&routes, cfg).ticks)
             },
         );
     }
@@ -112,17 +112,20 @@ fn bench_plan_cache(c: &mut Criterion) {
     let traffic = m.symmetric_traffic();
     let n = traffic.n();
     let sweep = |cache: Option<&PlanCache>| {
+        let ctx = match cache {
+            Some(c) => RouteCtx::new(&m).with_cache(c),
+            None => RouteCtx::new(&m),
+        };
         let mut ticks = 0;
         for (cell, mult) in [2usize, 4, 8].iter().enumerate() {
-            let s = measure_rate_with(
-                &m,
+            let s = measure_rate_ctx(
+                &ctx,
                 &traffic,
                 mult * n,
                 Strategy::ShortestPath,
                 RouterConfig::default(),
                 fcn_exec::job_seed(11, cell as u64),
                 17, // shared per-trial plan seed, as in BandwidthEstimator
-                cache,
             );
             ticks += s.ticks;
         }
@@ -143,7 +146,7 @@ fn bench_plan_cache(c: &mut Criterion) {
 /// estimator sweep. `reference` is the retained pre-compilation simulator
 /// (wire arrays rebuilt and every hop binary-searched per call); `compiled`
 /// routes a pre-compiled [`PacketBatch`] over a shared [`CompiledNet`] with
-/// a reused [`RouterScratch`], exactly as sweeps do. Both produce
+/// the thread's reused scratch arenas, exactly as sweeps do. Both produce
 /// bit-identical outcomes (`tests/compiled_router.rs`); only the wall clock
 /// differs.
 fn bench_compiled_vs_reference(c: &mut Criterion) {
@@ -163,9 +166,8 @@ fn bench_compiled_vs_reference(c: &mut Criterion) {
     });
     let net = CompiledNet::compile(&m);
     let batch = PacketBatch::compile(&net, &routes).expect("planner paths are walks");
-    let mut scratch = RouterScratch::new();
     group.bench_function("compiled", |b| {
-        b.iter(|| route_compiled(&net, &batch, cfg, &mut scratch).ticks)
+        b.iter(|| route(&net, &batch, cfg, RunOpts::default()).ticks)
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! measured β is robust to the choice (constants move, exponents don't).
 
 use fcn_bench::{banner, fmt, write_records, Scale};
-use fcn_routing::{measure_rate, QueueDiscipline, RouterConfig, Strategy};
+use fcn_routing::{measure_rate_ctx, QueueDiscipline, RouteCtx, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use serde::Serialize;
 
@@ -45,6 +45,7 @@ fn main() {
     let mut rows = Vec::new();
     for m in &machines {
         let t = m.symmetric_traffic();
+        let ctx = RouteCtx::new(m);
         println!("\n{} (n = {}):", m.name(), m.processors());
         for d in disciplines {
             for s in strategies {
@@ -52,7 +53,8 @@ fn main() {
                     discipline: d,
                     ..Default::default()
                 };
-                let sample = measure_rate(m, &t, 8 * t.n(), s, cfg, 0xab1);
+                let sample =
+                    measure_rate_ctx(&ctx, &t, 8 * t.n(), s, cfg, 0xab1 ^ 0x7ea55a17, 0xab1);
                 assert!(sample.completed, "routing incomplete");
                 println!("  {d:?} + {s:?}: rate {}", fmt(sample.rate));
                 rows.push(Row {

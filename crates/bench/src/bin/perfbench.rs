@@ -19,8 +19,8 @@ use fcn_bandwidth::{flux_upper_bound, BandwidthEstimator};
 use fcn_bench::{banner, fmt, RunOpts, Scale, PERFBENCH_SCHEMA};
 use fcn_routing::engine::reference;
 use fcn_routing::{
-    plan_routes, route_compiled, route_compiled_at, route_events, route_events_at, CompiledNet,
-    InjectionSchedule, PacketBatch, RouterConfig, RouterScratch, Strategy,
+    plan_routes, route, Backend, CompiledNet, InjectionSchedule, PacketBatch, RouterConfig,
+    Strategy,
 };
 use fcn_topology::Machine;
 use serde::Serialize;
@@ -144,9 +144,13 @@ fn main() {
     // After: compile once, route many — the path every sweep now takes.
     let net = CompiledNet::compile(&machine);
     let batch = PacketBatch::compile(&net, &routes).expect("planner paths are walks");
-    let mut scratch = RouterScratch::new();
+    let tick = fcn_routing::RunOpts::default();
+    let events = fcn_routing::RunOpts {
+        backend: Backend::Events,
+        ..tick
+    };
     let (cmp_ms, cmp_rate) = timed(reps, || {
-        let out = route_compiled(&net, &batch, cfg, &mut scratch);
+        let out = route(&net, &batch, cfg, tick);
         assert!(out.completed);
         out.rate()
     });
@@ -180,7 +184,7 @@ fn main() {
     //
     // saturated: the headline 8n batch, all packets at tick 0.
     let (ev_sat_ms, _) = timed(reps, || {
-        let out = route_events(&net, &batch, cfg, &mut scratch);
+        let out = route(&net, &batch, cfg, events);
         assert_eq!(
             out.rate(),
             cmp_rate,
@@ -228,18 +232,24 @@ fn main() {
     let sparse_batch = PacketBatch::compile(&net, &sparse_routes).expect("planner paths are walks");
     let sparse_sched =
         InjectionSchedule::new((0..sparse_packets as u64).map(|i| i * stride).collect());
-    let tick_out = route_compiled_at(&net, &sparse_batch, &sparse_sched, cfg, &mut scratch, None);
-    let ev_out = route_events_at(&net, &sparse_batch, &sparse_sched, cfg, &mut scratch, None);
+    let sp_tick = fcn_routing::RunOpts {
+        schedule: Some(&sparse_sched),
+        ..tick
+    };
+    let sp_ev = fcn_routing::RunOpts {
+        schedule: Some(&sparse_sched),
+        ..events
+    };
+    let tick_out = route(&net, &sparse_batch, cfg, sp_tick);
+    let ev_out = route(&net, &sparse_batch, cfg, sp_ev);
     assert_eq!(
         tick_out, ev_out,
         "event backend must not change a single bit"
     );
     let (sp_tick_ms, _) = timed(reps, || {
-        route_compiled_at(&net, &sparse_batch, &sparse_sched, cfg, &mut scratch, None).ticks as f64
+        route(&net, &sparse_batch, cfg, sp_tick).ticks as f64
     });
-    let (sp_ev_ms, _) = timed(reps, || {
-        route_events_at(&net, &sparse_batch, &sparse_sched, cfg, &mut scratch, None).ticks as f64
-    });
+    let (sp_ev_ms, _) = timed(reps, || route(&net, &sparse_batch, cfg, sp_ev).ticks as f64);
     let sp_speedup = sp_tick_ms / sp_ev_ms;
     println!(
         "route_events_sparse   : {:>3} ms   {:.2}x vs tick ({} pkts / {} ticks)",
@@ -278,18 +288,24 @@ fn main() {
     let mut drain_ticks = vec![0u64; drain_demands.len() - 1];
     drain_ticks.push(drain_at);
     let drain_sched = InjectionSchedule::new(drain_ticks);
-    let tick_out = route_compiled_at(&net, &drain_batch, &drain_sched, cfg, &mut scratch, None);
-    let ev_out = route_events_at(&net, &drain_batch, &drain_sched, cfg, &mut scratch, None);
+    let dr_tick = fcn_routing::RunOpts {
+        schedule: Some(&drain_sched),
+        ..tick
+    };
+    let dr_ev = fcn_routing::RunOpts {
+        schedule: Some(&drain_sched),
+        ..events
+    };
+    let tick_out = route(&net, &drain_batch, cfg, dr_tick);
+    let ev_out = route(&net, &drain_batch, cfg, dr_ev);
     assert_eq!(
         tick_out, ev_out,
         "event backend must not change a single bit"
     );
     let (dr_tick_ms, _) = timed(reps, || {
-        route_compiled_at(&net, &drain_batch, &drain_sched, cfg, &mut scratch, None).ticks as f64
+        route(&net, &drain_batch, cfg, dr_tick).ticks as f64
     });
-    let (dr_ev_ms, _) = timed(reps, || {
-        route_events_at(&net, &drain_batch, &drain_sched, cfg, &mut scratch, None).ticks as f64
-    });
+    let (dr_ev_ms, _) = timed(reps, || route(&net, &drain_batch, cfg, dr_ev).ticks as f64);
     println!(
         "route_events_drain    : {:>3} ms   {:.2}x vs tick (straggler at {})",
         fmt(dr_ev_ms),
@@ -398,10 +414,10 @@ fn main() {
     let mut off_ts = Vec::with_capacity(overhead_reps);
     let mut on_ts = Vec::with_capacity(overhead_reps);
     for rep in 0..overhead_reps {
-        let mut arm = |samples: &mut Vec<f64>| {
+        let arm = |samples: &mut Vec<f64>| {
             #[allow(clippy::disallowed_methods)] // bench binary: timing is the product
             let t = Instant::now();
-            let out = route_compiled(&net, &batch, cfg, &mut scratch);
+            let out = route(&net, &batch, cfg, tick);
             samples.push(t.elapsed().as_secs_f64() * 1e3);
             assert_eq!(
                 out.rate(),

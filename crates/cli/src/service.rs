@@ -4,7 +4,7 @@
 //! [`fcn_serve::Server`] via [`CliHandler`], which is what makes a served
 //! response byte-identical to the inline invocation: `audit` and `faults`
 //! requests literally run [`crate::run`] into a buffer, and `beta` runs the
-//! same body through [`crate::commands::beta_with`] with the daemon's warm
+//! same body through `commands::beta_with` with the daemon's warm
 //! registry and the request's deadline flag threaded in.
 
 use std::io::Write;

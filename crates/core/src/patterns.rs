@@ -14,7 +14,7 @@
 //! stencils, all-to-all, tree broadcast, and random permutations.
 
 use fcn_multigraph::{Cut, Embedding, Multigraph, MultigraphBuilder, NodeId, Traffic};
-use fcn_routing::{plan_routes, route_batch, RouterConfig, Strategy};
+use fcn_routing::{plan_routes, RouteCtx, RouterConfig, Strategy};
 use fcn_topology::Machine;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -232,7 +232,7 @@ pub fn execute_pattern(
         (0, None)
     } else {
         let routes = plan_routes(host, &demands, Strategy::ShortestPath, seed);
-        let out = route_batch(host, routes, cfg);
+        let out = RouteCtx::new(host).route_paths(&routes, cfg);
         assert!(out.completed, "pattern routing incomplete");
         // Embedding witness for the congestion side.
         let collapsed = fcn_multigraph::collapse(&pattern.graph, &assign, m);

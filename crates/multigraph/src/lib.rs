@@ -6,7 +6,7 @@
 //!
 //! The paper describes both *network machines* and *communication patterns*
 //! as multigraphs: "vertices represent processors, and edges represent
-//! communication links [or] messages sent between processors". This crate
+//! communication links \[or\] messages sent between processors". This crate
 //! provides that shared representation plus the graph machinery the proofs
 //! lean on:
 //!
@@ -21,7 +21,7 @@
 //!   paper's `λ`-side quantities);
 //! * [`embedding`] — explicit embeddings with congestion/dilation accounting
 //!   (`C(H,G)`, `Λ(H,G)`, `λ(H,G)` at finite size);
-//! * [`collapse`] — super-vertex collapse with load accounting (Lemma 11).
+//! * [`collapse`](mod@collapse) — super-vertex collapse with load accounting (Lemma 11).
 
 pub mod collapse;
 pub mod cut;

@@ -12,7 +12,7 @@
 //! batch. A cache hit therefore returns bit-identical trees to a fresh
 //! computation, which `tests/plan_cache.rs` proves property-style.
 //!
-//! Trees are stored compactly ([`RouteTree`]): on graphs where every node
+//! Trees are stored compactly (`RouteTree`): on graphs where every node
 //! has fewer than 255 distinct neighbours a tree is one byte per node — the
 //! parent's slot in the node's own CSR row — instead of a four-byte parent
 //! id. Memory is bounded by a byte budget (64 MiB by default, enough for

@@ -2,8 +2,9 @@
 //!
 //! The synchronous router used to rebuild its directed-wire arrays and
 //! re-derive every packet's next-hop wire (a per-hop binary search) on
-//! *every* [`crate::engine::route_batch`] call — hundreds of times per
-//! estimator grid point. This module splits that work into three reusable
+//! *every* batch it routed (the retained
+//! [`crate::engine::reference::route_batch`] still does) — hundreds of
+//! times per estimator grid point. This module splits that work into three reusable
 //! artifacts:
 //!
 //! * [`CompiledNet`] — the machine's directed-wire CSR plus resolved
@@ -17,9 +18,9 @@
 //!   the host graph (replacing the engine's old `panic!` lookup failure).
 //!
 //! Compilation is pure bookkeeping: it draws no randomness and therefore
-//! cannot perturb the engine's RNG stream. `route_compiled(net, batch)` is
-//! bit-identical to the legacy per-call rebuild (pinned by
-//! `tests/compiled_router.rs`).
+//! cannot perturb the engine's RNG stream. [`crate::route`] over a
+//! compiled net and batch is bit-identical to the legacy per-call rebuild
+//! (pinned by `tests/compiled_router.rs`).
 
 use std::fmt;
 use std::sync::Arc;
@@ -35,8 +36,8 @@ use crate::packet::PacketPath;
 /// Paths produced by [`crate::oracle::PathOracle`] and
 /// [`crate::native::plan_routes`] are walks by construction, so this error
 /// only surfaces for hand-built [`PacketPath`]s (ablations, tests, external
-/// inputs) — which is why [`crate::engine::try_route_batch`] exists
-/// alongside the infallible planner-facing entry points.
+/// inputs) — which is why [`PacketBatch::compile`] returns it instead of
+/// panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {
     /// A path mentions a vertex the host does not have.
@@ -632,9 +633,9 @@ impl PacketBatch {
 /// injected before the loop, exactly the batch semantics), so its first
 /// possible crossing is the following tick, and a 0-hop packet delivers at
 /// its injection tick. Both router backends accept an optional schedule
-/// (`route_compiled_at` / `route_events_at`) and produce bit-identical
-/// outcomes for any schedule; `InjectionSchedule::uniform(n, 0)` is
-/// bit-identical to passing no schedule at all.
+/// ([`crate::RunOpts::schedule`]) and produce bit-identical outcomes for
+/// any schedule; `InjectionSchedule::uniform(n, 0)` is bit-identical to
+/// passing no schedule at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionSchedule {
     /// Injection tick per packet id.

@@ -15,15 +15,15 @@
 //!
 //! ## Compile / run split
 //!
-//! The hot entry point is [`route_compiled`]: it runs a pre-compiled
-//! [`PacketBatch`] over a shared [`CompiledNet`] using a caller-owned
-//! [`RouterScratch`], so a sweep performs O(1) allocations per batch and
-//! the tick loop touches only flat arrays (no per-hop adjacency search —
-//! hops were resolved to wire ids at batch-compile time). [`route_batch`]
-//! keeps the legacy compile-on-every-call signature as a thin wrapper, and
-//! [`reference`] retains the original single-function simulator as the
-//! executable specification the compiled path is pinned against
-//! (`tests/compiled_router.rs`).
+//! The one entry point is [`route`]: it runs a pre-compiled [`PacketBatch`]
+//! over a shared [`CompiledNet`] on this thread's pooled scratch arenas, so
+//! a sweep performs O(1) allocations per batch and the tick loop touches
+//! only flat arrays (no per-hop adjacency search — hops were resolved to
+//! wire ids at batch-compile time). [`RunOpts`] picks the backend, an
+//! optional [`InjectionSchedule`] and an optional cancellation flag.
+//! [`reference`](mod@reference) retains the original single-function
+//! simulator as the executable specification the compiled path is pinned
+//! against (`tests/compiled_router.rs`).
 //!
 //! Determinism: for a given `(batch, RouterConfig)` the compiled and
 //! reference engines draw the same `StdRng` stream (one `u32` rank per
@@ -43,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::compiled::{CompiledNet, InjectionSchedule, PacketBatch, RouteError};
+use crate::compiled::{CompiledNet, InjectionSchedule, PacketBatch};
 use crate::events::{EventCtl, EventKind};
 use crate::packet::{PacketPath, QueueDiscipline};
 
@@ -132,11 +132,10 @@ impl RoutingOutcome {
 /// and the per-packet position/rank columns. Everything is length-adjusted
 /// and cleared at the start of a run, so a scratch can be reused across
 /// batches, machines, and disciplines; after warm-up a sweep allocates
-/// nothing per batch. [`route_compiled_pooled`] keeps one scratch per
-/// thread, which is how [`fcn_exec::Pool`] workers reuse arenas across the
-/// cells they execute.
+/// nothing per batch. [`route`] keeps one scratch per thread, which is how
+/// [`fcn_exec::Pool`] workers reuse arenas across the cells they execute.
 #[derive(Debug, Default)]
-pub struct RouterScratch {
+pub(crate) struct RouterScratch {
     /// FIFO wire queues (one per wire; used by `QueueDiscipline::Fifo`).
     fifo: Vec<VecDeque<u32>>,
     /// Priority wire queues. Entries pack `(key, pid)` into one `u64`
@@ -173,7 +172,7 @@ pub struct RouterScratch {
 
 impl RouterScratch {
     /// A fresh, empty scratch. Arenas grow on first use and are retained.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RouterScratch::default()
     }
 
@@ -279,52 +278,103 @@ impl WireQueues for PrioQueues<'_> {
     }
 }
 
-/// Route a pre-compiled batch over a compiled net, reusing `scratch`.
+/// Which router executes a run.
+///
+/// Both backends produce **bit-identical** [`RoutingOutcome`]s for every
+/// `(net, batch, config)` — the choice is purely a performance knob.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Backend {
+    /// The synchronous tick loop. Best under dense traffic where almost
+    /// every tick moves packets.
+    #[default]
+    Tick,
+    /// The event-driven engine ([`crate::events`]): the same tick loop, but
+    /// quiescent spans are skipped via a calendar wheel. Best for sparse
+    /// injection schedules, fault outage windows, and long drain tails.
+    Events,
+}
+
+impl Backend {
+    /// Parse a CLI flag value (`tick` | `events`).
+    pub fn parse(s: &str) -> Option<Backend> {
+        match s {
+            "tick" => Some(Backend::Tick),
+            "events" => Some(Backend::Events),
+            _ => None,
+        }
+    }
+
+    /// The CLI flag spelling of this backend.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Backend::Tick => "tick",
+            Backend::Events => "events",
+        }
+    }
+}
+
+/// How [`route`] runs a batch. `RunOpts::default()` is the tick backend
+/// with batch semantics (every packet injected at tick 0) and no
+/// cancellation.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOpts<'a> {
+    /// Which backend executes the run; outcomes are identical either way.
+    pub backend: Backend,
+    /// Packet `i` enters its first wire queue at the end of tick
+    /// `schedule.tick_of(i)` instead of at tick 0 (a 0-hop packet delivers
+    /// at its injection tick). The schedule must cover the batch.
+    /// `InjectionSchedule::uniform(batch.len(), 0)` is bit-identical to
+    /// `None`.
+    pub schedule: Option<&'a InjectionSchedule>,
+    /// A flag checked once per simulated tick (one relaxed load). When it
+    /// is raised the run stops at the next tick boundary with
+    /// [`AbortCause::Cancelled`] — the graceful-stop hook used by
+    /// `fcn_exec::Watchdog`. A flag that is never raised changes no bit.
+    pub cancel: Option<&'a AtomicBool>,
+}
+
+/// Route a pre-compiled batch over a compiled net on this thread's pooled
+/// scratch arenas.
 ///
 /// This is the hot path: zero allocations after scratch warm-up, no
 /// adjacency lookups in the tick loop (hops are pre-resolved wire ids;
 /// consistency degrades to debug assertions), and bit-identical outcomes to
-/// [`reference::route_batch`] for every `(batch, config)`.
-pub fn route_compiled(
+/// [`reference::route_batch`] for every `(batch, config)` and every
+/// [`RunOpts`] without a schedule or a raised flag.
+///
+/// ```
+/// use fcn_routing::{route, CompiledNet, PacketBatch, PacketPath, RouterConfig, RunOpts};
+/// use fcn_topology::Machine;
+///
+/// let net = CompiledNet::compile(&Machine::linear_array(4));
+/// let batch = PacketBatch::compile(&net, &[PacketPath::new(vec![0, 1, 2, 3])]).unwrap();
+/// let out = route(&net, &batch, RouterConfig::default(), RunOpts::default());
+/// assert_eq!((out.ticks, out.delivered), (3, 1));
+/// ```
+pub fn route(
     net: &CompiledNet,
     batch: &PacketBatch,
     cfg: RouterConfig,
-    scratch: &mut RouterScratch,
+    opts: RunOpts<'_>,
 ) -> RoutingOutcome {
-    route_compiled_gated(net, batch, cfg, scratch, None)
+    POOLED_SCRATCH.with(|s| route_in(net, batch, cfg, opts, &mut s.borrow_mut()))
 }
 
-/// [`route_compiled`] with an optional cancellation flag, checked once per
-/// tick (one relaxed load). When the flag is raised the run stops at the
-/// next tick boundary with [`AbortCause::Cancelled`] — the graceful-stop
-/// hook used by `fcn_exec::Watchdog`. `cancel: None` is byte-identical to
-/// [`route_compiled`].
-pub fn route_compiled_gated(
+/// [`route`] on a caller-owned scratch (tests compare a reused arena with a
+/// fresh one through this).
+pub(crate) fn route_in(
     net: &CompiledNet,
     batch: &PacketBatch,
     cfg: RouterConfig,
+    opts: RunOpts<'_>,
     scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
 ) -> RoutingOutcome {
-    dispatch_run(net, batch, None, cfg, scratch, cancel, None)
-}
-
-/// [`route_compiled`] under an [`InjectionSchedule`]: packet `i` enters its
-/// first wire queue at the end of tick `schedule.tick_of(i)` instead of at
-/// tick 0 (a 0-hop packet delivers at its injection tick). The schedule
-/// must cover the batch (`schedule.len() == batch.len()`).
-/// `InjectionSchedule::uniform(batch.len(), 0)` is bit-identical to
-/// [`route_compiled_gated`], and any schedule is bit-identical to the
-/// event backend's [`crate::events::route_events_at`].
-pub fn route_compiled_at(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    schedule: &InjectionSchedule,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
-) -> RoutingOutcome {
-    dispatch_run(net, batch, Some(schedule), cfg, scratch, cancel, None)
+    match opts.backend {
+        Backend::Tick => dispatch_run(net, batch, opts.schedule, cfg, scratch, opts.cancel, None),
+        Backend::Events => {
+            crate::events::run_events(net, batch, opts.schedule, cfg, scratch, opts.cancel)
+        }
+    }
 }
 
 /// The shared entry of both backends: size the scratch, draw ranks, pick
@@ -979,62 +1029,25 @@ fn run_ticks<Q: WireQueues, const UNIT: bool, const DISC: u8>(
 thread_local! {
     /// One scratch per thread: pool workers of a sweep reuse arenas across
     /// every batch they run.
-    pub(crate) static POOLED_SCRATCH: RefCell<RouterScratch> = RefCell::new(RouterScratch::new());
+    static POOLED_SCRATCH: RefCell<RouterScratch> = RefCell::new(RouterScratch::new());
 }
 
-/// [`route_compiled`] using this thread's pooled [`RouterScratch`].
+/// [`route`] with [`RunOpts::default`].
 pub fn route_compiled_pooled(
     net: &CompiledNet,
     batch: &PacketBatch,
     cfg: RouterConfig,
 ) -> RoutingOutcome {
-    POOLED_SCRATCH.with(|s| route_compiled(net, batch, cfg, &mut s.borrow_mut()))
-}
-
-/// Route a batch of packets to completion on a machine.
-///
-/// All packets are injected at tick 0 (the paper's "deliver all m messages"
-/// batch semantics); the returned outcome's [`RoutingOutcome::rate`] is the
-/// delivery-rate sample `m / r(m)`.
-///
-/// This is the compile-on-every-call convenience wrapper: it compiles the
-/// machine's [`CompiledNet`] and the batch afresh. Sweeps that route many
-/// batches on one machine should compile once and call [`route_compiled`]
-/// (or go through [`crate::harness::RouteCtx`]).
-///
-/// # Panics
-/// Panics if some path is not a walk of the host graph; use
-/// [`try_route_batch`] to get the typed [`RouteError`] instead.
-pub fn route_batch(
-    machine: &Machine,
-    packets: Vec<PacketPath>,
-    cfg: RouterConfig,
-) -> RoutingOutcome {
-    // fcn-allow: ERR-UNWRAP documented panicking wrapper; `try_route_batch` is the typed-error entry point
-    try_route_batch(machine, &packets, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`route_batch`] surfacing malformed routes as a typed [`RouteError`]
-/// instead of panicking. Planner-produced paths are walks by construction
-/// and never hit the error arm.
-pub fn try_route_batch(
-    machine: &Machine,
-    packets: &[PacketPath],
-    cfg: RouterConfig,
-) -> Result<RoutingOutcome, RouteError> {
-    let net = CompiledNet::compile(machine);
-    let batch = PacketBatch::compile(&net, packets)?;
-    Ok(route_compiled_pooled(&net, &batch, cfg))
+    route(net, batch, cfg, RunOpts::default())
 }
 
 /// The original single-function simulator, retained verbatim as the
 /// executable specification of the wire model.
 ///
-/// `tests/compiled_router.rs` pins [`route_compiled`] against this
-/// implementation across machine families and queue disciplines, and
-/// `perfbench` uses it as the pre-compilation baseline for the recorded
-/// speedup trajectory. Not a hot path — new code should use
-/// [`route_compiled`].
+/// `tests/compiled_router.rs` pins [`route`] against this implementation
+/// across machine families and queue disciplines, and `perfbench` uses it
+/// as the pre-compilation baseline for the recorded speedup trajectory. Not
+/// a hot path — new code should use [`route`].
 pub mod reference {
     use super::*;
 
@@ -1281,6 +1294,10 @@ mod tests {
         }
     }
 
+    fn route_batch(m: &Machine, packets: Vec<PacketPath>, cfg: RouterConfig) -> RoutingOutcome {
+        crate::harness::RouteCtx::new(m).route_paths(&packets, cfg)
+    }
+
     #[test]
     fn single_packet_takes_path_length_ticks() {
         let m = Machine::linear_array(10);
@@ -1406,13 +1423,8 @@ mod tests {
 
     #[test]
     fn malformed_route_panics_with_typed_message() {
-        let m = Machine::linear_array(4);
-        let err = try_route_batch(
-            &m,
-            &[PacketPath::new(vec![0, 3])],
-            cfg(QueueDiscipline::Fifo),
-        )
-        .unwrap_err();
+        let net = CompiledNet::compile(&Machine::linear_array(4));
+        let err = PacketBatch::compile(&net, &[PacketPath::new(vec![0, 3])]).unwrap_err();
         assert!(err.to_string().contains("no wire 0 -> 3"));
     }
 
@@ -1442,10 +1454,11 @@ mod tests {
                 // Abort run first to leave residue in the queues...
                 let mut short = cfg(d);
                 short.max_ticks = 1;
-                let _ = route_compiled(&net, &batch, short, &mut scratch);
+                let opts = RunOpts::default();
+                let _ = route_in(&net, &batch, short, opts, &mut scratch);
                 // ...then the real run must still be clean.
-                let pooled = route_compiled(&net, &batch, cfg(d), &mut scratch);
-                let fresh = route_compiled(&net, &batch, cfg(d), &mut RouterScratch::new());
+                let pooled = route_in(&net, &batch, cfg(d), opts, &mut scratch);
+                let fresh = route_in(&net, &batch, cfg(d), opts, &mut RouterScratch::new());
                 assert_eq!(pooled, fresh, "{} {d:?}", m.name());
             }
         }

@@ -1,24 +1,24 @@
 //! The event-driven router backend: skip quiescent ticks.
 //!
-//! The synchronous tick loop pays for every tick even when nothing can
-//! move — long drain tails, sparse injection schedules, fault outage
-//! windows. This backend runs the **same** tick loop over the same
-//! [`CompiledNet`]/[`PacketBatch`] arenas, but when a simulated tick turns
-//! out to be *quiescent* (no packet crossed a wire and no packet was
-//! injected) it consults an [`EventWheel`] of next-actionable ticks —
-//! pending injections, fault-capacity boundaries on wires that hold
-//! packets — and jumps straight to the earliest one, folding the skipped
-//! span's side effects (rotate advance, occupancy/stall/gating telemetry)
-//! in closed form. Cost therefore scales with *events* (injections,
-//! crossings, window edges), not `ticks × wires`.
+//! Selected by [`Backend::Events`](crate::Backend::Events) in
+//! [`RunOpts`](crate::RunOpts). The synchronous tick loop pays for every tick
+//! even when nothing can move — long drain tails, sparse injection schedules,
+//! fault outage windows. This backend runs the **same** tick loop over the same
+//! [`CompiledNet`]/[`PacketBatch`] arenas, but when a simulated tick turns out
+//! to be *quiescent* (no packet crossed a wire and no packet was injected) it
+//! consults an [`EventWheel`] of next-actionable ticks — pending injections,
+//! fault-capacity boundaries on wires that hold packets — and jumps straight to
+//! the earliest one, folding the skipped span's side effects (rotate advance,
+//! occupancy/stall/gating telemetry) in closed form. Cost therefore scales with
+//! *events* (injections, crossings, window edges), not `ticks × wires`.
 //!
 //! ## Determinism contract
 //!
-//! [`route_events`] does not re-implement the wire model: every simulated
-//! tick executes [`crate::engine`]'s `run_ticks` verbatim (the event hook
-//! is a parameter of that loop), and a span is skipped only when the state
+//! The backend does not re-implement the wire model: every simulated tick
+//! executes [`crate::engine`]'s `run_ticks` verbatim (the event hook is a
+//! parameter of that loop), and a span is skipped only when the state
 //! provably replays itself — so the [`RoutingOutcome`] is **bit-identical**
-//! to [`crate::route_compiled`] / `engine::reference` across families,
+//! to the tick backend and `engine::reference` across families,
 //! disciplines, abort paths, and fault overlays (pinned by
 //! `tests/event_router.rs`). Cancellation flags are polled at every
 //! simulated tick *and* re-polled immediately before each fast-forward
@@ -259,64 +259,14 @@ thread_local! {
         RefCell::new((EventWheel::new(), Vec::new()));
 }
 
-/// Route a pre-compiled batch with the event-driven backend.
-///
-/// Bit-identical outcomes to [`crate::route_compiled`] for every
-/// `(net, batch, cfg)`; faster whenever the run contains idle spans (the
-/// batch semantics inject everything at tick 0, so intact batch runs have
-/// none — the wins come from fault outage windows, and from
-/// [`route_events_at`]'s sparse injection schedules).
-pub fn route_events(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-) -> RoutingOutcome {
-    route_events_inner(net, batch, None, cfg, scratch, None)
-}
-
-/// [`route_events`] with a cancellation flag, polled at simulated ticks
-/// (see the module docs for the mid-skip caveat).
-pub fn route_events_gated(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
-) -> RoutingOutcome {
-    route_events_inner(net, batch, None, cfg, scratch, cancel)
-}
-
-/// [`route_events`] under an [`InjectionSchedule`] — bit-identical to
-/// [`crate::engine::route_compiled_at`] for every schedule, and the case
-/// the backend exists for: idle gaps between scheduled injections are
-/// skipped, not simulated.
-pub fn route_events_at(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    schedule: &InjectionSchedule,
-    cfg: RouterConfig,
-    scratch: &mut RouterScratch,
-    cancel: Option<&AtomicBool>,
-) -> RoutingOutcome {
-    route_events_inner(net, batch, Some(schedule), cfg, scratch, cancel)
-}
-
-/// [`route_events`] using this thread's pooled [`RouterScratch`] — the
-/// event-backend twin of [`crate::route_compiled_pooled`].
-pub fn route_events_pooled(
-    net: &CompiledNet,
-    batch: &PacketBatch,
-    cfg: RouterConfig,
-) -> RoutingOutcome {
-    crate::engine::POOLED_SCRATCH.with(|s| route_events(net, batch, cfg, &mut s.borrow_mut()))
-}
-
-/// Shared body: seed the wheel (one `Inject` wake per distinct future
-/// injection tick; window spans sorted for the skipped counter), run the
-/// engine's tick loop with the event hook armed, then publish the
-/// event-backend metrics.
-fn route_events_inner(
+/// The event backend of [`crate::route`]: seed the wheel (one `Inject` wake
+/// per distinct future injection tick; window spans sorted for the skipped
+/// counter), run the engine's tick loop with the event hook armed, then
+/// publish the event-backend metrics. Bit-identical outcomes to the tick
+/// backend for every `(net, batch, schedule, cfg)`; faster whenever the run
+/// contains idle spans (fault outage windows, sparse injection schedules,
+/// drain tails).
+pub(crate) fn run_events(
     net: &CompiledNet,
     batch: &PacketBatch,
     sched: Option<&InjectionSchedule>,

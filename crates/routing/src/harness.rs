@@ -2,8 +2,9 @@
 //!
 //! The paper defines `β(G, π)` as the expected value, as `m → ∞`, of
 //! `m / r(m)` where `r(m)` is the time to deliver `m` messages drawn from
-//! `π`. [`measure_rate`] produces one `m / r(m)` sample; [`saturation_sweep`]
-//! grows `m` geometrically until the rate plateaus, approximating the limit.
+//! `π`. [`measure_rate_ctx`] produces one `m / r(m)` sample over a
+//! compile-once [`RouteCtx`]; growing `m` geometrically until the rate
+//! plateaus ([`plateau_rate`]) approximates the limit.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -14,48 +15,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::PlanCache;
 use crate::compiled::{CompiledNet, PacketBatch};
-use crate::engine::{route_compiled_pooled, RouterConfig, RoutingOutcome};
-use crate::events::route_events_pooled;
+use crate::engine::{route, Backend, RouterConfig, RoutingOutcome, RunOpts};
 use crate::packet::{PacketPath, Strategy};
 
-/// Which router executes a context's batches.
-///
-/// Both backends produce **bit-identical** [`RoutingOutcome`]s for every
-/// `(machine, batch, config)` — the choice is purely a performance knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Backend {
-    /// The synchronous tick loop ([`crate::route_compiled`]). Best under
-    /// dense traffic where almost every tick moves packets.
-    #[default]
-    Tick,
-    /// The event-driven engine ([`crate::events::route_events`]): the same
-    /// tick loop, but quiescent spans are skipped via a calendar wheel.
-    /// Best for sparse injection schedules, fault outage windows, and long
-    /// drain tails.
-    Events,
-}
-
-impl Backend {
-    /// Parse a CLI flag value (`tick` | `events`).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "tick" => Some(Backend::Tick),
-            "events" => Some(Backend::Events),
-            _ => None,
-        }
-    }
-
-    /// The CLI flag spelling of this backend.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Tick => "tick",
-            Backend::Events => "events",
-        }
-    }
-}
-
-/// A compile-once routing context: one machine, its [`CompiledNet`], and an
-/// optional [`PlanCache`].
+/// A compile-once routing context: one machine, its [`CompiledNet`], an
+/// optional [`PlanCache`], and the [`RunOpts`] every batch runs under.
 ///
 /// Every β estimate, saturation sweep, and audit routes hundreds of batches
 /// on the *same* machine; the context compiles the machine's wire arrays
@@ -78,8 +42,7 @@ pub struct RouteCtx<'a> {
     machine: &'a Machine,
     net: Arc<CompiledNet>,
     cache: Option<&'a PlanCache>,
-    backend: Backend,
-    cancel: Option<&'a AtomicBool>,
+    opts: RunOpts<'a>,
 }
 
 impl<'a> RouteCtx<'a> {
@@ -89,8 +52,7 @@ impl<'a> RouteCtx<'a> {
             machine,
             net: CompiledNet::shared(machine),
             cache: None,
-            backend: Backend::Tick,
-            cancel: None,
+            opts: RunOpts::default(),
         }
     }
 
@@ -102,8 +64,7 @@ impl<'a> RouteCtx<'a> {
             machine,
             net,
             cache: None,
-            backend: Backend::Tick,
-            cancel: None,
+            opts: RunOpts::default(),
         }
     }
 
@@ -116,7 +77,7 @@ impl<'a> RouteCtx<'a> {
     /// Select the router [`Backend`] for this context's batches. Outcomes
     /// are bit-identical across backends.
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.opts.backend = backend;
         self
     }
 
@@ -126,13 +87,13 @@ impl<'a> RouteCtx<'a> {
     /// its last simulated tick; runs that complete before the flag is
     /// raised are bit-identical to an unwatched context.
     pub fn with_cancel(mut self, cancel: &'a AtomicBool) -> Self {
-        self.cancel = Some(cancel);
+        self.opts.cancel = Some(cancel);
         self
     }
 
-    /// The configured router backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
+    /// The options every batch of this context runs under.
+    pub fn opts(&self) -> RunOpts<'a> {
+        self.opts
     }
 
     /// The machine being routed on.
@@ -150,44 +111,18 @@ impl<'a> RouteCtx<'a> {
         self.cache
     }
 
-    /// The attached cancellation flag, if any.
-    pub fn cancel(&self) -> Option<&AtomicBool> {
-        self.cancel
-    }
-
     /// Compile and route planner-produced paths on this context's machine,
     /// reusing the calling thread's pooled scratch.
     ///
     /// # Panics
     /// Panics if some path is not a walk of the host graph — impossible for
-    /// planner output; use [`crate::engine::try_route_batch`] for untrusted
-    /// paths.
+    /// planner output; [`PacketBatch::compile`] returns the typed error for
+    /// untrusted paths.
     pub fn route_paths(&self, paths: &[PacketPath], cfg: RouterConfig) -> RoutingOutcome {
         let batch = PacketBatch::compile(&self.net, paths)
-            // fcn-allow: ERR-UNWRAP documented panicking wrapper over planner output; `try_route_batch` covers untrusted paths
+            // fcn-allow: ERR-UNWRAP documented panicking wrapper over planner output; `PacketBatch::compile` covers untrusted paths
             .unwrap_or_else(|e| panic!("planner produced unroutable path: {e}"));
-        match (self.backend, self.cancel) {
-            (Backend::Events, None) => route_events_pooled(&self.net, &batch, cfg),
-            (Backend::Events, Some(c)) => crate::engine::POOLED_SCRATCH.with(|s| {
-                crate::events::route_events_gated(
-                    &self.net,
-                    &batch,
-                    cfg,
-                    &mut s.borrow_mut(),
-                    Some(c),
-                )
-            }),
-            (Backend::Tick, None) => route_compiled_pooled(&self.net, &batch, cfg),
-            (Backend::Tick, Some(c)) => crate::engine::POOLED_SCRATCH.with(|s| {
-                crate::engine::route_compiled_gated(
-                    &self.net,
-                    &batch,
-                    cfg,
-                    &mut s.borrow_mut(),
-                    Some(c),
-                )
-            }),
-        }
+        route(&self.net, &batch, cfg, self.opts)
     }
 }
 
@@ -204,125 +139,15 @@ pub struct RateSample {
     pub completed: bool,
 }
 
-/// Route `messages` random pairs from `traffic` and report the delivery
-/// rate. `seed` controls both pair sampling and routing randomness.
-///
-/// ```
-/// use fcn_routing::{measure_rate, RouterConfig, Strategy};
-/// use fcn_topology::Machine;
-///
-/// let m = Machine::mesh(2, 4);
-/// let t = m.symmetric_traffic();
-/// let s = measure_rate(&m, &t, 64, Strategy::ShortestPath, RouterConfig::default(), 1);
-/// assert!(s.completed);
-/// assert!(s.rate > 0.0);
-/// ```
-pub fn measure_rate(
-    machine: &Machine,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    seed: u64,
-) -> RateSample {
-    let outcome = route_traffic(machine, traffic, messages, strategy, cfg, seed);
-    RateSample {
-        messages,
-        ticks: outcome.ticks,
-        rate: outcome.rate(),
-        completed: outcome.completed,
-    }
-}
-
-/// [`measure_rate`] with split seeds and an optional [`PlanCache`].
+/// Route one traffic batch over a compile-once [`RouteCtx`] and report its
+/// delivery rate.
 ///
 /// `demand_seed` drives the traffic draw, `plan_seed` drives route
 /// planning. Splitting them lets saturation sweeps vary the batch
 /// (different demand seeds per cell) while *reusing* one plan seed per
 /// trial, so every cell of the trial shares the same BFS trees — which the
-/// cache then serves instead of recomputing. Results are bit-identical with
-/// or without the cache.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_rate_with(
-    machine: &Machine,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    demand_seed: u64,
-    plan_seed: u64,
-    cache: Option<&PlanCache>,
-) -> RateSample {
-    let outcome = route_traffic_with(
-        machine,
-        traffic,
-        messages,
-        strategy,
-        cfg,
-        demand_seed,
-        plan_seed,
-        cache,
-    );
-    RateSample {
-        messages,
-        ticks: outcome.ticks,
-        rate: outcome.rate(),
-        completed: outcome.completed,
-    }
-}
-
-/// Route a batch and return the raw outcome (queue stats included).
-pub fn route_traffic(
-    machine: &Machine,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    seed: u64,
-) -> RoutingOutcome {
-    route_traffic_with(
-        machine,
-        traffic,
-        messages,
-        strategy,
-        cfg,
-        seed ^ 0x7ea55a17,
-        seed,
-        None,
-    )
-}
-
-/// [`route_traffic`] with split demand/plan seeds and an optional cache.
-///
-/// Compiles the machine afresh; sweeps should build a [`RouteCtx`] once and
-/// call [`route_traffic_ctx`] instead.
-#[allow(clippy::too_many_arguments)]
-pub fn route_traffic_with(
-    machine: &Machine,
-    traffic: &Traffic,
-    messages: usize,
-    strategy: Strategy,
-    cfg: RouterConfig,
-    demand_seed: u64,
-    plan_seed: u64,
-    cache: Option<&PlanCache>,
-) -> RoutingOutcome {
-    let mut ctx = RouteCtx::new(machine);
-    ctx.cache = cache;
-    // (no cancellation: this is the compile-per-call convenience path)
-    route_traffic_ctx(
-        &ctx,
-        traffic,
-        messages,
-        strategy,
-        cfg,
-        demand_seed,
-        plan_seed,
-    )
-}
-
-/// [`measure_rate_with`] over a compile-once [`RouteCtx`].
-#[allow(clippy::too_many_arguments)]
+/// context's cache then serves instead of recomputing. Results are
+/// bit-identical with or without the cache.
 pub fn measure_rate_ctx(
     ctx: &RouteCtx<'_>,
     traffic: &Traffic,
@@ -352,7 +177,6 @@ pub fn measure_rate_ctx(
 /// Route one traffic batch over a compile-once [`RouteCtx`]: sample
 /// demands, plan routes (through the context's cache, if any), compile the
 /// batch to wire ids, and run it on the shared net with pooled scratch.
-/// Bit-identical to [`route_traffic_with`] on a fresh context.
 pub fn route_traffic_ctx(
     ctx: &RouteCtx<'_>,
     traffic: &Traffic,
@@ -375,39 +199,6 @@ pub fn route_traffic_ctx(
     let routes =
         crate::native::plan_routes_cached(ctx.machine, &demands, strategy, plan_seed, ctx.cache);
     ctx.route_paths(&routes, cfg)
-}
-
-/// Grow the batch geometrically (`m = mult · n` for each multiplier) and
-/// report all samples. The largest completed sample's rate is the bandwidth
-/// estimate (rates increase toward the saturation plateau as fixed transit
-/// latency amortizes away).
-pub fn saturation_sweep(
-    machine: &Machine,
-    traffic: &Traffic,
-    multipliers: &[usize],
-    strategy: Strategy,
-    cfg: RouterConfig,
-    seed: u64,
-) -> Vec<RateSample> {
-    let n = traffic.n();
-    // One compiled net serves every batch of the sweep.
-    let ctx = RouteCtx::new(machine);
-    multipliers
-        .iter()
-        .enumerate()
-        .map(|(i, &mult)| {
-            let s = seed.wrapping_add(i as u64);
-            measure_rate_ctx(
-                &ctx,
-                traffic,
-                (mult * n).max(1),
-                strategy,
-                cfg,
-                s ^ 0x7ea55a17,
-                s,
-            )
-        })
-        .collect()
 }
 
 /// The plateau estimate from a sweep: the maximum completed rate.
@@ -433,6 +224,11 @@ mod tests {
         }
     }
 
+    fn measure(m: &Machine, t: &Traffic, messages: usize, s: Strategy, seed: u64) -> RateSample {
+        let ctx = RouteCtx::new(m);
+        measure_rate_ctx(&ctx, t, messages, s, cfg(), seed ^ 0x7ea55a17, seed)
+    }
+
     #[test]
     fn linear_array_rate_is_constant() {
         // β(linear array) = Θ(1): the measured rate must not grow with n.
@@ -440,7 +236,7 @@ mod tests {
         for n in [32, 64, 128] {
             let m = Machine::linear_array(n);
             let t = m.symmetric_traffic();
-            let s = measure_rate(&m, &t, 8 * n, Strategy::ShortestPath, cfg(), 11);
+            let s = measure(&m, &t, 8 * n, Strategy::ShortestPath, 11);
             assert!(s.completed);
             rates.push(s.rate);
         }
@@ -455,23 +251,21 @@ mod tests {
     fn mesh_rate_grows_like_sqrt_n() {
         let r8 = {
             let m = Machine::mesh(2, 8);
-            measure_rate(
+            measure(
                 &m,
                 &m.symmetric_traffic(),
                 8 * 64,
                 Strategy::ShortestPath,
-                cfg(),
                 5,
             )
         };
         let r16 = {
             let m = Machine::mesh(2, 16);
-            measure_rate(
+            measure(
                 &m,
                 &m.symmetric_traffic(),
                 8 * 256,
                 Strategy::ShortestPath,
-                cfg(),
                 5,
             )
         };
@@ -484,14 +278,7 @@ mod tests {
     #[test]
     fn bus_rate_is_about_one() {
         let m = Machine::global_bus(32);
-        let s = measure_rate(
-            &m,
-            &m.symmetric_traffic(),
-            256,
-            Strategy::ShortestPath,
-            cfg(),
-            2,
-        );
+        let s = measure(&m, &m.symmetric_traffic(), 256, Strategy::ShortestPath, 2);
         assert!(s.completed);
         assert!(s.rate <= 1.2, "bus rate {}", s.rate);
         assert!(s.rate > 0.5, "bus rate {}", s.rate);
@@ -501,7 +288,11 @@ mod tests {
     fn sweep_rates_increase_with_batch_size() {
         let m = Machine::mesh(2, 8);
         let t = m.symmetric_traffic();
-        let samples = saturation_sweep(&m, &t, &[1, 4, 16], Strategy::ShortestPath, cfg(), 9);
+        let samples: Vec<_> = [1usize, 4, 16]
+            .iter()
+            .enumerate()
+            .map(|(i, &mult)| measure(&m, &t, mult * t.n(), Strategy::ShortestPath, 9 + i as u64))
+            .collect();
         assert_eq!(samples.len(), 3);
         assert!(samples.iter().all(|s| s.completed));
         assert!(samples[2].rate >= samples[0].rate * 0.9);
@@ -513,7 +304,7 @@ mod tests {
     fn valiant_completes_on_de_bruijn() {
         let m = Machine::de_bruijn(5);
         let t = m.symmetric_traffic();
-        let s = measure_rate(&m, &t, 4 * 32, Strategy::Valiant, cfg(), 21);
+        let s = measure(&m, &t, 4 * 32, Strategy::Valiant, 21);
         assert!(s.completed);
         assert!(s.rate > 1.0);
     }
@@ -524,7 +315,7 @@ mod tests {
         let t = m.symmetric_traffic();
         let tick = RouteCtx::new(&m);
         let events = RouteCtx::new(&m).with_backend(Backend::Events);
-        assert_eq!(events.backend(), Backend::Events);
+        assert_eq!(events.opts().backend, Backend::Events);
         for seed in 0..3u64 {
             let a = route_traffic_ctx(&tick, &t, 96, Strategy::ShortestPath, cfg(), seed ^ 1, seed);
             let b = route_traffic_ctx(
@@ -556,6 +347,6 @@ mod tests {
     fn traffic_must_fit_machine() {
         let m = Machine::linear_array(4);
         let t = Traffic::symmetric(8);
-        let _ = measure_rate(&m, &t, 8, Strategy::ShortestPath, cfg(), 0);
+        let _ = measure(&m, &t, 8, Strategy::ShortestPath, 0);
     }
 }

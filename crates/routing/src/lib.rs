@@ -17,15 +17,17 @@
 //! * [`compiled`] — the compile-once artifacts: [`CompiledNet`] (the
 //!   machine's directed-wire CSR, shared across every batch of a sweep) and
 //!   [`PacketBatch`] (flat SoA paths with hops pre-resolved to wire ids);
-//! * [`engine`] — the tick simulator: one packet per wire per tick, per-node
-//!   send budgets for the "weak" machines, pluggable queue disciplines,
-//!   pooled [`RouterScratch`] arenas;
+//! * [`engine`] — the tick simulator and its one entry point, [`route`]:
+//!   one packet per wire per tick, per-node send budgets for the "weak"
+//!   machines, pluggable queue disciplines, pooled per-thread arenas, and a
+//!   [`RunOpts`] value selecting the [`Backend`], an injection schedule and
+//!   a cancellation flag;
 //! * [`events`] — the event-driven backend: the same tick loop armed with a
 //!   calendar-wheel skip hook that jumps over quiescent spans (sparse
 //!   injection schedules, fault outage windows, drain tails), bit-identical
 //!   to the tick backend;
-//! * [`harness`] — batch-rate measurement and saturation sweeps, built
-//!   around the compile-once [`RouteCtx`] with selectable [`Backend`].
+//! * [`harness`] — traffic-batch rate measurement built around the
+//!   compile-once [`RouteCtx`].
 
 pub mod cache;
 pub mod compiled;
@@ -40,22 +42,14 @@ pub mod steady;
 pub use cache::PlanCache;
 pub use compiled::{CompiledNet, InjectionSchedule, PacketBatch, RouteError};
 pub use engine::{
-    route_batch, route_compiled, route_compiled_at, route_compiled_gated, route_compiled_pooled,
-    try_route_batch, AbortCause, RouterConfig, RouterScratch, RoutingOutcome,
+    route, route_compiled_pooled, AbortCause, Backend, RouterConfig, RoutingOutcome, RunOpts,
 };
-pub use events::{
-    route_events, route_events_at, route_events_gated, route_events_pooled, EventKind, EventWheel,
-};
-pub use harness::{
-    measure_rate, measure_rate_ctx, measure_rate_with, plateau_rate, route_traffic,
-    route_traffic_ctx, route_traffic_with, saturation_sweep, Backend, RateSample, RouteCtx,
-};
+pub use events::{EventKind, EventWheel};
+pub use harness::{measure_rate_ctx, plateau_rate, route_traffic_ctx, RateSample, RouteCtx};
 pub use native::{
     de_bruijn_path, plan_batch, plan_routes, plan_routes_cached, plan_routes_degraded,
     plan_routes_faulted, shuffle_exchange_path, DegradedPlan,
 };
 pub use oracle::PathOracle;
 pub use packet::{PacketPath, QueueDiscipline, Strategy};
-pub use steady::{
-    saturation_throughput, steady_state_rate, steady_state_rate_ctx, SteadyConfig, SteadyOutcome,
-};
+pub use steady::{saturation_throughput, steady_state_rate_ctx, SteadyConfig, SteadyOutcome};

@@ -533,21 +533,23 @@ mod tests {
     fn xtree_level_routing_spreads_across_levels() {
         // The measured saturation rate with level routing must clearly beat
         // the root-bound BFS rate at a size where lg n >> constant.
-        use crate::engine::{route_batch, RouterConfig};
+        use crate::engine::RouterConfig;
+        use crate::harness::RouteCtx;
         use fcn_multigraph::Traffic;
         let m = Machine::xtree(9); // n = 1023
+        let ctx = RouteCtx::new(&m);
         let t = Traffic::symmetric(m.processors());
         use rand::SeedableRng;
         let mut srng = rand::rngs::StdRng::seed_from_u64(3);
         let demands: Vec<_> = (0..8 * t.n()).map(|_| t.sample(&mut srng)).collect();
         // Native (level-balanced).
         let native = plan_routes(&m, &demands, Strategy::ShortestPath, 7);
-        let out_native = route_batch(&m, native, RouterConfig::default());
+        let out_native = ctx.route_paths(&native, RouterConfig::default());
         assert!(out_native.completed);
         // BFS baseline.
         let bfs =
             crate::oracle::PathOracle::new(m.graph(), 7).routes(&demands, Strategy::ShortestPath);
-        let out_bfs = route_batch(&m, bfs, RouterConfig::default());
+        let out_bfs = ctx.route_paths(&bfs, RouterConfig::default());
         assert!(out_bfs.completed);
         let (r_native, r_bfs) = (
             out_native.delivered as f64 / out_native.ticks as f64,

@@ -68,18 +68,9 @@ pub struct SteadyOutcome {
 /// compared to the epoch length. This epoch approximation measures
 /// sustained throughput without per-tick event bookkeeping and is accurate
 /// once epochs are much longer than the transit time.
-pub fn steady_state_rate(
-    machine: &Machine,
-    traffic: &Traffic,
-    rate: f64,
-    cfg: SteadyConfig,
-) -> SteadyOutcome {
-    steady_state_rate_ctx(&RouteCtx::new(machine), traffic, rate, cfg)
-}
-
-/// [`steady_state_rate`] over an already-compiled [`RouteCtx`], so ramps
-/// ([`saturation_throughput`]) compile the wire graph once instead of once
-/// per probed rate.
+///
+/// Reusing one context lets ramps ([`saturation_throughput`]) compile the
+/// wire graph once instead of once per probed rate.
 pub fn steady_state_rate_ctx(
     ctx: &RouteCtx<'_>,
     traffic: &Traffic,
@@ -171,7 +162,7 @@ mod tests {
     fn low_rate_is_stable() {
         let m = Machine::mesh(2, 8);
         let t = m.symmetric_traffic();
-        let out = steady_state_rate(&m, &t, 1.0, cfg());
+        let out = steady_state_rate_ctx(&RouteCtx::new(&m), &t, 1.0, cfg());
         assert!(out.stable, "{out:?}");
         assert!((out.delivery_rate - 1.0).abs() < 0.2);
     }
@@ -180,7 +171,7 @@ mod tests {
     fn absurd_rate_is_unstable() {
         let m = Machine::linear_array(32);
         let t = m.symmetric_traffic();
-        let out = steady_state_rate(&m, &t, 100.0, cfg());
+        let out = steady_state_rate_ctx(&RouteCtx::new(&m), &t, 100.0, cfg());
         assert!(!out.stable, "{out:?}");
         assert!(out.backlog_growth > 0);
     }

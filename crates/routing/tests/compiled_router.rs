@@ -7,19 +7,22 @@
 //!   reproduces the exact vertex sequences, across every route policy the
 //!   planners implement (BFS, restricted BFS, bit-correction, level walks)
 //!   and both strategies.
-//! * **Equivalence pins** — [`fcn_routing::route_compiled`] produces the
+//! * **Equivalence pins** — [`fcn_routing::route`] produces the
 //!   *identical* [`RoutingOutcome`] (ticks, delivered, max queue, rate) as
 //!   the retained pre-compilation simulator
 //!   `fcn_routing::engine::reference::route_batch` across the determinism
-//!   families × all three queue disciplines, including tick-budget aborts.
+//!   families × all three queue disciplines × every [`RunOpts`] combination
+//!   that must not change a bit, including tick-budget aborts.
 //!
 //! Together these justify calling the rewrite a pure performance change:
 //! every number the paper tables ingest is unchanged.
 
 use fcn_routing::engine::reference;
+use std::sync::atomic::AtomicBool;
+
 use fcn_routing::{
-    plan_routes, route_compiled, CompiledNet, PacketBatch, PacketPath, QueueDiscipline, RouteError,
-    RouterConfig, RouterScratch, Strategy,
+    plan_routes, route, Backend, CompiledNet, InjectionSchedule, PacketBatch, PacketPath,
+    QueueDiscipline, RouteError, RouterConfig, RunOpts, Strategy,
 };
 use fcn_topology::{Family, Machine};
 use proptest::prelude::*;
@@ -97,7 +100,6 @@ proptest! {
         let paths = plan_routes(&machine, &demands, Strategy::ShortestPath, seed);
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
-        let mut scratch = RouterScratch::new();
         for discipline in [
             QueueDiscipline::Fifo,
             QueueDiscipline::FarthestFirst,
@@ -105,7 +107,7 @@ proptest! {
         ] {
             let cfg = RouterConfig { discipline, seed, ..Default::default() };
             let old = reference::route_batch(&machine, paths.clone(), cfg);
-            let new = route_compiled(&net, &batch, cfg, &mut scratch);
+            let new = route(&net, &batch, cfg, RunOpts::default());
             prop_assert_eq!(old, new);
         }
     }
@@ -113,9 +115,12 @@ proptest! {
 
 /// Deterministic pin at saturation scale: every family × discipline, batch
 /// of 4n symmetric packets, plus a deliberately starved tick budget so the
-/// abort path is covered too.
+/// abort path is covered too. Each input runs under all 8 [`RunOpts`]
+/// combinations of {Tick, Events} × {no schedule, all-at-tick-0 schedule} ×
+/// {no flag, a never-raised flag}; none may change a bit.
 #[test]
 fn equivalence_pin_families_times_disciplines() {
+    let never = AtomicBool::new(false);
     for (fi, family) in FAMILIES.iter().enumerate() {
         let machine = family.build_near(64, 0x11);
         let traffic = machine.symmetric_traffic();
@@ -127,7 +132,7 @@ fn equivalence_pin_families_times_disciplines() {
         let paths = plan_routes(&machine, &demands, Strategy::ShortestPath, 17 + fi as u64);
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
-        let mut scratch = RouterScratch::new();
+        let at_zero = InjectionSchedule::uniform(batch.len(), 0);
         for discipline in [
             QueueDiscipline::Fifo,
             QueueDiscipline::FarthestFirst,
@@ -140,15 +145,26 @@ fn equivalence_pin_families_times_disciplines() {
                     max_ticks,
                 };
                 let old = reference::route_batch(&machine, paths.clone(), cfg);
-                let new = route_compiled(&net, &batch, cfg, &mut scratch);
-                assert_eq!(
-                    old,
-                    new,
-                    "{} / {discipline:?} / max_ticks {max_ticks}",
-                    machine.name()
-                );
-                if max_ticks == 8 {
-                    assert!(!new.completed, "starved budget must abort");
+                for backend in [Backend::Tick, Backend::Events] {
+                    for schedule in [None, Some(&at_zero)] {
+                        for cancel in [None, Some(&never)] {
+                            let opts = RunOpts {
+                                backend,
+                                schedule,
+                                cancel,
+                            };
+                            let new = route(&net, &batch, cfg, opts);
+                            assert_eq!(
+                                old,
+                                new,
+                                "{} / {discipline:?} / max_ticks {max_ticks} / {opts:?}",
+                                machine.name()
+                            );
+                            if max_ticks == 8 {
+                                assert!(!new.completed, "starved budget must abort");
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -169,10 +185,9 @@ fn weak_machines_pin_send_budgets() {
         let paths = plan_routes(&machine, &demands, Strategy::ShortestPath, 23);
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
-        let mut scratch = RouterScratch::new();
         let cfg = RouterConfig::default();
         let old = reference::route_batch(&machine, paths.clone(), cfg);
-        let new = route_compiled(&net, &batch, cfg, &mut scratch);
+        let new = route(&net, &batch, cfg, RunOpts::default());
         assert_eq!(old, new, "{}", machine.name());
     }
 }

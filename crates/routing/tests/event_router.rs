@@ -3,9 +3,10 @@
 //!
 //! Three layers of evidence:
 //!
-//! * **Differential pins** — [`fcn_routing::route_events`] produces the
-//!   *identical* [`fcn_routing::RoutingOutcome`] as
-//!   [`fcn_routing::route_compiled`] AND `engine::reference::route_batch`
+//! * **Differential pins** — [`fcn_routing::route`] on
+//!   [`Backend::Events`] produces the *identical*
+//!   [`fcn_routing::RoutingOutcome`] as the tick backend AND
+//!   `engine::reference::route_batch`
 //!   across the determinism families × all three disciplines, through every
 //!   abort path (MaxTicks via a starved budget *and* via a permanently
 //!   gated wire the wheel fast-forwards over, Stranded via fault overlays,
@@ -15,7 +16,7 @@
 //!   for.
 //! * **Arbitrary-schedule proptests** — *any* sparse injection schedule and
 //!   *any* assembled outage schedule on any small net leaves the outcome
-//!   bit-identical between `route_compiled_at` and `route_events_at`.
+//!   bit-identical between the two backends.
 //! * **Drain-tail regression** — on a saturated mesh with one straggler the
 //!   event backend must actually *skip* ticks (a positive
 //!   `router_ticks_skipped_total`) while its outcome and delivered-packet
@@ -27,9 +28,8 @@ use std::sync::Mutex;
 use fcn_faults::{FaultPlan, FaultSpec, LinkOutage};
 use fcn_routing::engine::reference;
 use fcn_routing::{
-    plan_routes, route_compiled, route_compiled_at, route_compiled_gated, route_events,
-    route_events_at, route_events_gated, route_events_pooled, CompiledNet, InjectionSchedule,
-    PacketBatch, QueueDiscipline, RouterConfig, RouterScratch, Strategy,
+    plan_routes, route, Backend, CompiledNet, InjectionSchedule, PacketBatch, QueueDiscipline,
+    RouterConfig, RoutingOutcome, RunOpts, Strategy,
 };
 use fcn_topology::{Family, Machine};
 use proptest::prelude::*;
@@ -66,6 +66,23 @@ fn symmetric_batch(
     plan_routes(machine, &demands, Strategy::ShortestPath, plan_seed)
 }
 
+/// Route `batch` on `backend`, optionally under a schedule and a flag.
+fn run(
+    backend: Backend,
+    net: &CompiledNet,
+    batch: &PacketBatch,
+    schedule: Option<&InjectionSchedule>,
+    cfg: RouterConfig,
+    cancel: Option<&AtomicBool>,
+) -> RoutingOutcome {
+    let opts = RunOpts {
+        backend,
+        schedule,
+        cancel,
+    };
+    route(net, batch, cfg, opts)
+}
+
 /// A deterministic sparse schedule: packet `i` comes due at
 /// `(i * stride) % span`, so injections are scattered with long idle gaps
 /// and out-of-pid order (exercising the tick-then-pid stable sort).
@@ -82,8 +99,6 @@ fn event_pin_families_disciplines_and_aborts() {
         let paths = symmetric_batch(&machine, 4, 41 + fi as u64, 17 + fi as u64);
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
-        let mut scratch = RouterScratch::new();
-        let mut escratch = RouterScratch::new();
         for discipline in DISCIPLINES {
             for max_ticks in [u64::MAX, 8] {
                 let cfg = RouterConfig {
@@ -92,9 +107,9 @@ fn event_pin_families_disciplines_and_aborts() {
                     max_ticks,
                 };
                 let reference = reference::route_batch(&machine, paths.clone(), cfg);
-                let compiled = route_compiled(&net, &batch, cfg, &mut scratch);
+                let compiled = run(Backend::Tick, &net, &batch, None, cfg, None);
                 assert_eq!(reference, compiled, "compiled drifted from reference");
-                let events = route_events(&net, &batch, cfg, &mut escratch);
+                let events = run(Backend::Events, &net, &batch, None, cfg, None);
                 assert_eq!(
                     events,
                     compiled,
@@ -110,9 +125,8 @@ fn event_pin_families_disciplines_and_aborts() {
 }
 
 /// Sparse schedules: families × disciplines, scattered injection ticks with
-/// idle gaps the event backend skips — `route_events_at` vs
-/// `route_compiled_at`, plus the degenerate uniform-0 schedule vs the batch
-/// path.
+/// idle gaps the event backend skips — event vs tick backend under the
+/// same schedule, plus the degenerate uniform-0 schedule vs the batch path.
 #[test]
 fn event_pin_sparse_schedules() {
     for (fi, family) in FAMILIES.iter().enumerate() {
@@ -122,16 +136,14 @@ fn event_pin_sparse_schedules() {
         let batch = PacketBatch::compile(&net, &paths).unwrap();
         let sched = sparse_schedule(batch.len(), 197, 4096);
         let uniform = InjectionSchedule::uniform(batch.len(), 0);
-        let mut scratch = RouterScratch::new();
-        let mut escratch = RouterScratch::new();
         for discipline in DISCIPLINES {
             let cfg = RouterConfig {
                 discipline,
                 seed: 13,
                 ..Default::default()
             };
-            let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-            let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+            let tick = run(Backend::Tick, &net, &batch, Some(&sched), cfg, None);
+            let events = run(Backend::Events, &net, &batch, Some(&sched), cfg, None);
             assert_eq!(events, tick, "{} / {discipline:?}", machine.name());
             assert!(tick.completed);
             assert!(
@@ -139,13 +151,13 @@ fn event_pin_sparse_schedules() {
                 "last injection bounds the run"
             );
             // Uniform tick-0 schedule ≡ batch semantics, on both backends.
-            let batch_sem = route_compiled(&net, &batch, cfg, &mut scratch);
+            let batch_sem = run(Backend::Tick, &net, &batch, None, cfg, None);
             assert_eq!(
-                route_compiled_at(&net, &batch, &uniform, cfg, &mut scratch, None),
+                run(Backend::Tick, &net, &batch, Some(&uniform), cfg, None),
                 batch_sem
             );
             assert_eq!(
-                route_events_at(&net, &batch, &uniform, cfg, &mut escratch, None),
+                run(Backend::Events, &net, &batch, Some(&uniform), cfg, None),
                 batch_sem
             );
         }
@@ -166,24 +178,22 @@ fn event_pin_fault_overlays() {
         let net = base.apply_faults(&plan);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
         let sched = sparse_schedule(batch.len(), 113, 2048);
-        let mut scratch = RouterScratch::new();
-        let mut escratch = RouterScratch::new();
         for discipline in DISCIPLINES {
             let cfg = RouterConfig {
                 discipline,
                 seed: 7,
                 ..Default::default()
             };
-            let compiled = route_compiled(&net, &batch, cfg, &mut scratch);
-            let events = route_events(&net, &batch, cfg, &mut escratch);
+            let compiled = run(Backend::Tick, &net, &batch, None, cfg, None);
+            let events = run(Backend::Events, &net, &batch, None, cfg, None);
             assert_eq!(
                 events,
                 compiled,
                 "{} faulted / {discipline:?}",
                 machine.name()
             );
-            let tick_at = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-            let events_at = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+            let tick_at = run(Backend::Tick, &net, &batch, Some(&sched), cfg, None);
+            let events_at = run(Backend::Events, &net, &batch, Some(&sched), cfg, None);
             assert_eq!(
                 events_at,
                 tick_at,
@@ -214,16 +224,14 @@ fn event_pin_frozen_net_fast_forwards_to_max_ticks() {
     let plan = FaultPlan::assemble(vec![], vec![], vec![outage(1, 2)]);
     let net = CompiledNet::compile(&machine).apply_faults(&plan);
     let batch = PacketBatch::compile(&net, &paths).unwrap();
-    let mut scratch = RouterScratch::new();
-    let mut escratch = RouterScratch::new();
     for discipline in DISCIPLINES {
         let cfg = RouterConfig {
             discipline,
             seed: 3,
             max_ticks: 50_000,
         };
-        let tick = route_compiled(&net, &batch, cfg, &mut scratch);
-        let events = route_events(&net, &batch, cfg, &mut escratch);
+        let tick = run(Backend::Tick, &net, &batch, None, cfg, None);
+        let events = run(Backend::Events, &net, &batch, None, cfg, None);
         assert_eq!(events, tick, "{discipline:?}");
         assert_eq!(tick.abort, fcn_routing::AbortCause::MaxTicks);
         assert_eq!(tick.ticks, 50_000, "budget burned to the tick");
@@ -240,17 +248,15 @@ fn event_pin_cancelled_abort() {
     let net = CompiledNet::compile(&machine);
     let batch = PacketBatch::compile(&net, &paths).unwrap();
     let cancel = AtomicBool::new(true);
-    let mut scratch = RouterScratch::new();
-    let mut escratch = RouterScratch::new();
     for discipline in DISCIPLINES {
         let cfg = RouterConfig {
             discipline,
             seed: 3,
             ..Default::default()
         };
-        let compiled = route_compiled_gated(&net, &batch, cfg, &mut scratch, Some(&cancel));
+        let compiled = run(Backend::Tick, &net, &batch, None, cfg, Some(&cancel));
         assert_eq!(compiled.abort, fcn_routing::AbortCause::Cancelled);
-        let events = route_events_gated(&net, &batch, cfg, &mut escratch, Some(&cancel));
+        let events = run(Backend::Events, &net, &batch, None, cfg, Some(&cancel));
         assert_eq!(events, compiled, "{discipline:?}");
     }
 }
@@ -275,25 +281,37 @@ fn event_pin_cancelled_before_skip() {
         max_ticks: 1_000_000,
         ..Default::default()
     };
-    let mut scratch = RouterScratch::new();
-    let mut escratch = RouterScratch::new();
     // Counterfactual (no cancel): one fast-forward to the budget cap.
-    let free = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+    let free = run(Backend::Events, &net, &batch, Some(&sched), cfg, None);
     assert_eq!(free.abort, fcn_routing::AbortCause::MaxTicks);
     assert_eq!(free.ticks, 1_000_000, "budget burned in one skip");
     assert_eq!(
         free,
-        route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None)
+        run(Backend::Tick, &net, &batch, Some(&sched), cfg, None)
     );
     // Cancelled: the flag is observed before any span is skipped — the
     // outcome must not report a single tick beyond the last simulated one.
     let cancel = AtomicBool::new(true);
-    let cancelled = route_events_at(&net, &batch, &sched, cfg, &mut escratch, Some(&cancel));
+    let cancelled = run(
+        Backend::Events,
+        &net,
+        &batch,
+        Some(&sched),
+        cfg,
+        Some(&cancel),
+    );
     assert_eq!(cancelled.abort, fcn_routing::AbortCause::Cancelled);
     assert_eq!(cancelled.ticks, 0, "no skipped span may be accounted");
     assert_eq!(
         cancelled,
-        route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, Some(&cancel))
+        run(
+            Backend::Tick,
+            &net,
+            &batch,
+            Some(&sched),
+            cfg,
+            Some(&cancel)
+        )
     );
 }
 
@@ -306,42 +324,45 @@ fn event_pin_weak_machine_send_budgets() {
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
         let sched = sparse_schedule(batch.len(), 61, 512);
-        let mut scratch = RouterScratch::new();
-        let mut escratch = RouterScratch::new();
         let cfg = RouterConfig::default();
-        let compiled = route_compiled(&net, &batch, cfg, &mut scratch);
+        let compiled = run(Backend::Tick, &net, &batch, None, cfg, None);
         assert_eq!(
             reference::route_batch(&machine, paths.clone(), cfg),
             compiled
         );
         assert_eq!(
-            route_events(&net, &batch, cfg, &mut escratch),
+            run(Backend::Events, &net, &batch, None, cfg, None),
             compiled,
             "{}",
             machine.name()
         );
         assert_eq!(
-            route_events_at(&net, &batch, &sched, cfg, &mut escratch, None),
-            route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None),
+            run(Backend::Events, &net, &batch, Some(&sched), cfg, None),
+            run(Backend::Tick, &net, &batch, Some(&sched), cfg, None),
             "{} scheduled",
             machine.name()
         );
     }
 }
 
-/// `route_events_pooled` is the harness dispatch point: same bits as an
-/// explicit-scratch run, and reusable across batches.
+/// The pooled event arenas are reusable: runs of another batch on either
+/// backend in between leave an event run's outcome unchanged.
 #[test]
 fn event_pooled_dispatch_is_transparent() {
     let machine = Family::DeBruijn.build_near(64, 0x11);
     let paths = symmetric_batch(&machine, 2, 3, 9);
+    let other = symmetric_batch(&machine, 4, 5, 11);
     let net = CompiledNet::compile(&machine);
     let batch = PacketBatch::compile(&net, &paths).unwrap();
+    let other = PacketBatch::compile(&net, &other).unwrap();
     let cfg = RouterConfig::default();
-    let mut scratch = RouterScratch::new();
-    let baseline = route_events(&net, &batch, cfg, &mut scratch);
-    for _ in 0..2 {
-        assert_eq!(route_events_pooled(&net, &batch, cfg), baseline);
+    let baseline = run(Backend::Events, &net, &batch, None, cfg, None);
+    for backend in [Backend::Events, Backend::Tick] {
+        let _ = run(backend, &net, &other, None, cfg, None);
+        assert_eq!(
+            run(Backend::Events, &net, &batch, None, cfg, None),
+            baseline
+        );
     }
 }
 
@@ -364,18 +385,16 @@ fn drain_tail_skips_ticks_with_equal_outcome_and_telemetry() {
     at[0] = 50_000;
     let sched = InjectionSchedule::new(at);
     let cfg = RouterConfig::default();
-    let mut scratch = RouterScratch::new();
-    let mut escratch = RouterScratch::new();
 
     let reg = fcn_telemetry::global();
     let _ = fcn_telemetry::take_shard();
     reg.set_enabled(true);
-    let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
+    let tick = run(Backend::Tick, &net, &batch, Some(&sched), cfg, None);
     reg.set_enabled(false);
     let tick_shard = fcn_telemetry::take_shard();
 
     reg.set_enabled(true);
-    let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+    let events = run(Backend::Events, &net, &batch, Some(&sched), cfg, None);
     reg.set_enabled(false);
     let events_shard = fcn_telemetry::take_shard();
 
@@ -443,17 +462,15 @@ fn fully_idle_outage_windows_are_counted_skipped() {
     let batch = PacketBatch::compile(&net, &paths).unwrap();
     let sched = InjectionSchedule::new(vec![0, 9000]);
     let cfg = RouterConfig::default();
-    let mut scratch = RouterScratch::new();
-    let mut escratch = RouterScratch::new();
 
     let reg = fcn_telemetry::global();
     let _ = fcn_telemetry::take_shard();
     reg.set_enabled(true);
-    let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+    let events = run(Backend::Events, &net, &batch, Some(&sched), cfg, None);
     reg.set_enabled(false);
     let shard = fcn_telemetry::take_shard();
 
-    let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
+    let tick = run(Backend::Tick, &net, &batch, Some(&sched), cfg, None);
     assert_eq!(events, tick);
     assert!(events.completed);
     // Each undirected outage window covers two directed wires.
@@ -511,16 +528,14 @@ proptest! {
         let net = CompiledNet::compile(&machine);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
         let sched = InjectionSchedule::new(raw.iter().map(|&(_, _, t)| t).collect());
-        let mut scratch = RouterScratch::new();
-        let mut escratch = RouterScratch::new();
         for discipline in DISCIPLINES {
             let cfg = RouterConfig {
                 discipline,
                 seed,
                 max_ticks: if starved { 4 } else { u64::MAX },
             };
-            let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-            let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+            let tick = run(Backend::Tick, &net, &batch, Some(&sched), cfg, None);
+            let events = run(Backend::Events, &net, &batch, Some(&sched), cfg, None);
             prop_assert!(
                 events == tick,
                 "{:?}: {:?} != {:?}",
@@ -564,14 +579,12 @@ proptest! {
         let net = CompiledNet::compile(&machine).apply_faults(&fplan);
         let batch = PacketBatch::compile(&net, &paths).unwrap();
         let sched = InjectionSchedule::new(raw.iter().map(|&(_, _, t)| t).collect());
-        let mut scratch = RouterScratch::new();
-        let mut escratch = RouterScratch::new();
         let cfg = RouterConfig { discipline: QueueDiscipline::Fifo, seed, ..Default::default() };
-        let batch_tick = route_compiled(&net, &batch, cfg, &mut scratch);
-        let batch_events = route_events(&net, &batch, cfg, &mut escratch);
+        let batch_tick = run(Backend::Tick, &net, &batch, None, cfg, None);
+        let batch_events = run(Backend::Events, &net, &batch, None, cfg, None);
         prop_assert!(batch_events == batch_tick, "batch: {:?} != {:?}", batch_events, batch_tick);
-        let tick = route_compiled_at(&net, &batch, &sched, cfg, &mut scratch, None);
-        let events = route_events_at(&net, &batch, &sched, cfg, &mut escratch, None);
+        let tick = run(Backend::Tick, &net, &batch, Some(&sched), cfg, None);
+        let events = run(Backend::Events, &net, &batch, Some(&sched), cfg, None);
         prop_assert!(events == tick, "scheduled: {:?} != {:?}", events, tick);
     }
 }
@@ -639,7 +652,7 @@ proptest! {
 }
 
 /// Regression pin for the seeded-wakeup path: a seeded scatter of wake
-/// ticks (the shape `route_events` pushes for injections and fault-window
+/// ticks (the shape the event backend pushes for injections and fault-window
 /// wakeups) must be visited by the `now = next_after(now)` walk in exactly
 /// sorted-distinct order, across level rollovers and into the overflow
 /// list, leaving the wheel empty once the walk passes the last wake.

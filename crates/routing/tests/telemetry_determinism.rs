@@ -14,8 +14,8 @@
 use std::sync::Mutex;
 
 use fcn_routing::{
-    measure_rate, plan_routes, route_compiled, CompiledNet, PacketBatch, QueueDiscipline,
-    RouterConfig, RouterScratch, RoutingOutcome, Strategy,
+    measure_rate_ctx, plan_routes, route, CompiledNet, PacketBatch, QueueDiscipline, RouteCtx,
+    RouterConfig, RoutingOutcome, RunOpts, Strategy,
 };
 use fcn_topology::Machine;
 
@@ -63,11 +63,12 @@ fn route_once(machine: &Machine, discipline: QueueDiscipline, max_ticks: u64) ->
         max_ticks,
         ..RouterConfig::default()
     };
-    let mut scratch = RouterScratch::new();
-    // Route twice through the same scratch so both the scratch-created and
-    // scratch-reused instrumentation branches are exercised.
-    let first = route_compiled(&net, &batch, cfg, &mut scratch);
-    let second = route_compiled(&net, &batch, cfg, &mut scratch);
+    // Route twice through the thread's pooled scratch so both the
+    // scratch-created and scratch-reused instrumentation branches are
+    // exercised (each test runs on its own thread, so the first run here
+    // creates the arena).
+    let first = route(&net, &batch, cfg, RunOpts::default());
+    let second = route(&net, &batch, cfg, RunOpts::default());
     assert_eq!(
         record(&first),
         record(&second),
@@ -116,12 +117,13 @@ fn rate_samples_are_byte_identical_with_telemetry_on_and_off() {
     for machine in machines() {
         let traffic = machine.symmetric_traffic();
         let (off, on) = with_and_without_telemetry(|| {
-            measure_rate(
-                &machine,
+            measure_rate_ctx(
+                &RouteCtx::new(&machine),
                 &traffic,
                 4 * traffic.n(),
                 Strategy::ShortestPath,
                 RouterConfig::default(),
+                0xbead ^ 0x7ea55a17,
                 0xbead,
             )
         });
@@ -148,7 +150,8 @@ fn enabled_run_actually_collects() {
     let out = route_once(&machine, QueueDiscipline::RandomRank, 4_000_000);
     reg.set_enabled(false);
     let shard = fcn_telemetry::take_shard();
-    // route_once routes the batch twice through one scratch.
+    // route_once routes the batch twice through this thread's fresh
+    // pooled scratch.
     assert_eq!(shard.counter("router_runs_total"), 2);
     assert_eq!(shard.counter("router_ticks_total"), 2 * out.ticks);
     assert_eq!(

@@ -18,23 +18,28 @@
 //!
 //! ## Chaos injection
 //!
-//! This file is also the single place a [`ChaosStream`] decision is
-//! *applied* (enforced by the `CHAOS-SEED` rule): when a stream is attached
-//! via [`FramedConn::set_chaos`], every outgoing frame consults the
-//! deterministic plan and may be reset mid-write, stalled, truncated, or
-//! corrupted. Both corruption constructions are detectable **by
-//! construction**: a corrupted length prefix always claims more than
-//! [`MAX_FRAME_LEN`] (rejected before allocation), and a corrupted payload
-//! always starts with an invalid UTF-8 byte (rejected before JSON decode) —
-//! a damaged reply can surface only as a typed error, never as a
-//! mis-parsed different reply.
+//! This module is also the single place a [`ChaosStream`] decision is
+//! *applied*. The plan lives in the private child module `chaos`, whose
+//! action types are `pub(super)`: no other module can construct or match a
+//! decision, so rustc enforces that every injected fault comes from the
+//! seeded plan. When a stream is attached via [`FramedConn::set_chaos`],
+//! every outgoing frame consults the deterministic plan and may be reset
+//! mid-write, stalled, truncated, or corrupted. Both corruption
+//! constructions are detectable **by construction**: a corrupted length
+//! prefix always claims more than [`MAX_FRAME_LEN`] (rejected before
+//! allocation), and a corrupted payload always starts with an invalid UTF-8
+//! byte (rejected before JSON decode) — a damaged reply can surface only as
+//! a typed error, never as a mis-parsed different reply.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use crate::chaos::{ChaosAction, ChaosStream, CorruptTarget, ResetPoint};
+mod chaos;
+
+use chaos::{ChaosAction, CorruptTarget, ResetPoint};
+pub use chaos::{ChaosPlan, ChaosRates, ChaosSpec, ChaosStats, ChaosStream};
 
 /// Upper bound on a frame's payload length (64 MiB) — far above any real
 /// report body, low enough that a corrupt length prefix cannot OOM the
@@ -338,8 +343,6 @@ mod tests {
     }
 
     // ------------------------------------------------------------- chaos
-
-    use crate::chaos::{ChaosPlan, ChaosRates, ChaosSpec};
 
     /// A plan whose first decision on connection 0 matches `want`, found by
     /// scanning seeds (decisions are pure, so the scan is deterministic).

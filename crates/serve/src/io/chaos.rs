@@ -19,10 +19,11 @@
 //!   at the frames its threshold newly covers; frames claimed by a
 //!   higher-priority kind are unaffected.
 //!
-//! The plan only *decides*; the framed I/O layer (`io.rs`) is the only
-//! place a decision is *applied* to a socket. `fcn-analyze`'s `CHAOS-SEED`
-//! rule pins that split: no chaos action may be constructed anywhere else
-//! in this crate.
+//! The plan only *decides*; the framed I/O layer (the parent `io` module)
+//! is the only place a decision is *applied* to a socket. Module privacy
+//! pins that split: this module is private to `io`, and [`ChaosAction`],
+//! its payload types and [`ChaosStream::next_action`] are `pub(super)`, so
+//! no other code can construct or match a chaos action.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -152,7 +153,7 @@ impl ChaosSpec {
 
 /// What to do to one outgoing reply frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosAction {
+pub(super) enum ChaosAction {
     /// Deliver the frame untouched.
     None,
     /// Close the connection at the given point of the frame.
@@ -168,7 +169,7 @@ pub enum ChaosAction {
 
 /// Where a [`ChaosAction::Reset`] cuts the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResetPoint {
+pub(super) enum ResetPoint {
     /// Before any byte of the frame is written.
     PreFrame,
     /// After 2 of the 4 length-prefix bytes.
@@ -179,7 +180,7 @@ pub enum ResetPoint {
 
 /// What a [`ChaosAction::Corrupt`] damages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorruptTarget {
+pub(super) enum CorruptTarget {
     /// Force the length prefix's high bit: the claimed length exceeds
     /// `MAX_FRAME_LEN`, which every reader rejects before allocating.
     Length,
@@ -191,7 +192,7 @@ pub enum CorruptTarget {
 
 impl ChaosAction {
     /// Short label for error messages and logs.
-    pub fn label(&self) -> &'static str {
+    pub(super) fn label(&self) -> &'static str {
         match self {
             ChaosAction::None => "none",
             ChaosAction::Reset(ResetPoint::PreFrame) => "reset-pre-frame",
@@ -330,7 +331,7 @@ pub struct ChaosStream {
 
 impl ChaosStream {
     /// The decision for the next outgoing frame (advances the frame index).
-    pub fn next_action(&mut self) -> ChaosAction {
+    pub(super) fn next_action(&mut self) -> ChaosAction {
         let f = self.frame;
         self.frame += 1;
         decide(self.base, f, &self.rates, self.max_stall_ms)
@@ -340,7 +341,7 @@ impl ChaosStream {
     /// shared stats and the *global* telemetry registry (never the server's
     /// request-ordered registry — transport chaos must not perturb the
     /// `metrics` render).
-    pub fn record(&self, action: &ChaosAction) {
+    pub(super) fn record(&self, action: &ChaosAction) {
         // ordering: monitoring counters; nothing synchronizes through them.
         let (slot, name) = match action {
             ChaosAction::None => return,

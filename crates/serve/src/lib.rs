@@ -50,10 +50,22 @@
 //!   reply path, and only *after* the request executed — so a retrying
 //!   client recovers byte-identical payloads, with completed-but-lost
 //!   replies replayed from the idempotent reply cache instead of
-//!   re-running.
+//!   re-running. The plan is a private child of [`io`], and only the two
+//!   of them can name a chaos decision, so rustc rejects any other
+//!   injection point:
+//!
+//! ```compile_fail,E0432
+//! use fcn_serve::ChaosAction;
+//! ```
+//!
+//! ```compile_fail,E0624
+//! use fcn_serve::{ChaosPlan, ChaosRates, ChaosSpec};
+//!
+//! let plan = ChaosPlan::new(ChaosSpec::new(7, ChaosRates::uniform(0.1)));
+//! let _ = plan.stream(0).next_action();
+//! ```
 
 pub mod admission;
-pub mod chaos;
 pub mod client;
 pub mod io;
 pub mod proto;
@@ -63,9 +75,8 @@ pub mod server;
 pub use admission::{
     class_of, Admission, AdmissionSnapshot, Admit, Class, Permit, Shed, ShedReason,
 };
-pub use chaos::{ChaosAction, ChaosPlan, ChaosRates, ChaosSpec, ChaosStats, ChaosStream};
 pub use client::{Client, ClientError, RetryPolicy};
-pub use io::FramedConn;
+pub use io::{ChaosPlan, ChaosRates, ChaosSpec, ChaosStats, ChaosStream, FramedConn};
 pub use proto::{ErrorKind, Request, Response, ServeError, SERVE_SCHEMA};
 pub use registry::{Registry, RegistryEntry};
 pub use server::{Handler, HandlerOutcome, Server, ServerConfig};

@@ -32,8 +32,7 @@ use fcn_telemetry::names;
 use fcn_telemetry::{take_shard, with_shard, LocalShard, MetricsRegistry};
 
 use crate::admission::{Admission, Admit};
-use crate::chaos::{ChaosPlan, ChaosSpec, ChaosStats};
-use crate::io::FramedConn;
+use crate::io::{ChaosPlan, ChaosSpec, ChaosStats, FramedConn};
 use crate::proto::{ErrorKind, Request, Response};
 
 /// Tunables for one [`Server`].

@@ -78,7 +78,7 @@ pub const ROUTER_QUEUE_OCCUPANCY: &str = "router_queue_occupancy";
 pub const ROUTER_SCRATCH_CREATED_TOTAL: &str = "router_scratch_created_total";
 /// Scratch arenas reused without reallocation.
 pub const ROUTER_SCRATCH_REUSED_TOTAL: &str = "router_scratch_reused_total";
-/// Event-backend runs (`route_events` entry points).
+/// Event-backend runs (`route` with `Backend::Events`).
 pub const ROUTER_EVENTS_TOTAL: &str = "router_events_total";
 /// Ticks the event backend skipped instead of simulating.
 pub const ROUTER_TICKS_SKIPPED_TOTAL: &str = "router_ticks_skipped_total";

@@ -22,8 +22,8 @@ use fcn_emu::bandwidth::DegradedSweep;
 use fcn_emu::exec::{retry_seed, Pool};
 use fcn_emu::faults::{FaultPlan, FaultSpec};
 use fcn_emu::routing::{
-    plan_routes_degraded, route_compiled_pooled, route_events_pooled, AbortCause, Backend,
-    CompiledNet, PacketBatch, RouterConfig, Strategy,
+    plan_routes_degraded, route, route_compiled_pooled, AbortCause, Backend, CompiledNet,
+    PacketBatch, RouterConfig, RunOpts, Strategy,
 };
 use fcn_emu::topology::{Family, Machine};
 use proptest::prelude::*;
@@ -104,7 +104,7 @@ proptest! {
         // Backend row: the event engine on the same faulted net also
         // terminates with a typed outcome, and it is the *same* outcome —
         // delivery accounting, tick count, and abort cause all included.
-        let events = route_events_pooled(&net, &batch, cfg);
+        let events = route(&net, &batch, cfg, RunOpts { backend: Backend::Events, ..RunOpts::default() });
         prop_assert!(events.ticks <= cfg.max_ticks);
         prop_assert_eq!(events.abort, out.abort);
         prop_assert!(out == events, "event backend outcome diverged");

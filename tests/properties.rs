@@ -8,9 +8,7 @@ use fcn_emu::multigraph::{
     bfs_distances, bfs_parents, collapse, contiguous_blocks, path_from_parents, Cut, Embedding,
     Multigraph, MultigraphBuilder, NodeId, Traffic,
 };
-use fcn_emu::routing::{
-    route_batch, PacketPath, PathOracle, RouterConfig, Strategy as RouteStrategy,
-};
+use fcn_emu::routing::{PacketPath, PathOracle, RouteCtx, RouterConfig, Strategy as RouteStrategy};
 use proptest::prelude::*;
 
 // ---------- generators ----------
@@ -273,7 +271,7 @@ proptest! {
         let routes = oracle.routes(&demands, RouteStrategy::ShortestPath);
         let expected_hops: u64 = routes.iter().map(|r| r.hops() as u64).sum();
         let max_hops = routes.iter().map(PacketPath::hops).max().unwrap_or(0) as u64;
-        let out = route_batch(&machine, routes, RouterConfig::default());
+        let out = RouteCtx::new(&machine).route_paths(&routes, RouterConfig::default());
         prop_assert!(out.completed);
         prop_assert_eq!(out.delivered, 2 * n);
         prop_assert_eq!(out.total_hops, expected_hops);
